@@ -79,7 +79,7 @@ static BUDGETED_ROUNDS: LazyLock<&Counter> =
 /// Exit bookkeeping shared by the three engines: exactly one call per
 /// public engine invocation (the small-product cutovers delegate before
 /// recording, so nothing double-counts).
-fn record_refine(engine: &'static str, pr: &PairRelation, n1: usize, n2: usize) {
+pub(crate) fn record_refine(engine: &'static str, pr: &PairRelation, n1: usize, n2: usize) {
     if !bpi_obs::metrics_enabled() && !bpi_obs::tracing_enabled() {
         return;
     }
@@ -688,13 +688,28 @@ pub(crate) fn engine_override() -> Option<Engine> {
     }
 }
 
+/// The one engine decision for a product, shared by [`refine_auto`]
+/// and the checkpointed pipeline ([`Checker::run_with_checkpoint`]):
+/// `BPI_ENGINE` if set, else [`auto_engine`] on the pair count, with a
+/// partition choice demoted to the worklist when the product is not
+/// [`crate::partition::partition_safe`] (no partition agrees with the
+/// pairwise relation there, so not even the override may force one).
+pub(crate) fn select_engine(g1: &Graph, g2: &Graph) -> Engine {
+    let safe = crate::partition::partition_safe(g1, g2);
+    match engine_override().unwrap_or_else(|| auto_engine(g1.len() * g2.len(), safe)) {
+        Engine::Partition if !safe => Engine::Worklist,
+        e => e,
+    }
+}
+
 /// Engine dispatch used by the [`Checker`] and every relation-producing
 /// caller: the naive sweep at or below [`NAIVE_MAX_PAIRS`] pairs, the
 /// block/splitter partition refiner ([`crate::partition`]) above it, the
 /// pairwise worklist when the product mixes input arities on a channel
 /// (where no partition agrees with the pairwise relation — see
 /// `partition_safe`). All engines return the same relation, so the
-/// choice is invisible to callers; `BPI_ENGINE` overrides it.
+/// choice is invisible to callers; `BPI_ENGINE` overrides it (see
+/// [`select_engine`]).
 ///
 /// The `threads` argument no longer selects an engine: dispatching the
 /// round-synchronous parallel refiner by thread count made the answer's
@@ -704,17 +719,15 @@ pub(crate) fn engine_override() -> Option<Engine> {
 /// the dispatch is pinned thread-independent by regression test.
 pub fn refine_auto(v: Variant, g1: &Graph, g2: &Graph, threads: usize) -> PairRelation {
     let _ = threads;
-    let safe = crate::partition::partition_safe(g1, g2);
-    let choice = engine_override().unwrap_or_else(|| auto_engine(g1.len() * g2.len(), safe));
-    match choice {
+    match select_engine(g1, g2) {
         Engine::Naive => refine(v, g1, g2),
-        Engine::Partition if safe => {
+        Engine::Partition => {
             let part = crate::partition::refine_partition(v, g1, g2);
             let pr = crate::partition::partition_to_relation(&part);
             record_refine("partition", &pr, g1.len(), g2.len());
             pr
         }
-        Engine::Worklist | Engine::Partition => refine_worklist(v, g1, g2),
+        Engine::Worklist => refine_worklist(v, g1, g2),
     }
 }
 
@@ -1089,6 +1102,14 @@ mod tests {
         Defs::new()
     }
 
+    /// Serialises the tests that run the parallel engine against the
+    /// one that asserts its process-global round counter stays put.
+    static PARALLEL_ENGINE: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn parallel_engine_lock() -> std::sync::MutexGuard<'static, ()> {
+        PARALLEL_ENGINE.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     #[test]
     fn identical_processes_are_bisimilar_everywhere() {
         let d = defs();
@@ -1313,6 +1334,7 @@ mod tests {
     fn worklist_agrees_with_naive_refine_on_paper_witnesses() {
         // Full-relation agreement (not just the root pair) on the
         // paper's distinguishing witnesses, across all six variants.
+        let _g = parallel_engine_lock();
         let d = defs();
         let [a, b, c, x] = names(["a", "b", "c", "x"]);
         let pairs: Vec<(bpi_core::syntax::P, bpi_core::syntax::P)> = vec![
@@ -1365,6 +1387,7 @@ mod tests {
 
     #[test]
     fn dispatch_never_picks_parallel_and_is_thread_independent() {
+        let _g = parallel_engine_lock();
         // Satellite regression for the BENCH_5 thread-series finding:
         // the round-synchronous parallel engine never beat 1.0× in the
         // ≤ ~2500-pair regime, so the automatic dispatch must never

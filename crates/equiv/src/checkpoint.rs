@@ -12,17 +12,21 @@
 //!   Resumed by [`Graph::resume_from`]; completed builds are bit-identical
 //!   to straight [`Graph::build`]s.
 //! * [`RefineCheckpoint`] — a refinement relation at a round boundary.
-//!   Because all refinement engines are chaotic iterations of the same
+//!   Because all pairwise engines are chaotic iterations of the same
 //!   monotone transfer operator, any intermediate relation is a superset
 //!   of the greatest fixpoint, so the relation (plus a round count for
 //!   reporting) is the *whole* resumable state — valid for snapshots from
-//!   any engine at any thread count. Resumed by
+//!   any pairwise engine at any thread count. Resumed by
 //!   [`crate::bisim::refine_resume`].
+//! * [`PartitionCheckpoint`] — the partition refiner's block array and
+//!   dirty worklist at a round boundary, linear in the state count.
+//!   Resumed bit-for-bit by [`crate::partition::refine_partition_resume`].
 //! * [`Checkpoint`] — which phase the pipeline was in, with the completed
-//!   prefix embedded, so [`Checker::resume_from`] is self-contained given
-//!   the same defs/options/variant.
+//!   prefix embedded (the refine phase as a [`RefineSnapshot`] of either
+//!   engine), so [`Checker::resume_from`] is self-contained given the
+//!   same defs/options/variant.
 //!
-//! All three serialise through a versioned line-based text format (and
+//! All of them serialise through a versioned line-based text format (and
 //! serde, via the same concrete syntax as `bpi-core`'s impls), so
 //! checkpoints survive process restarts and interner re-seeding.
 //!
@@ -33,8 +37,14 @@
 //! returns a [`SupervisedVerdict::Inconclusive`] that still carries the
 //! final checkpoint as a partial verdict.
 
-use crate::bisim::{refine_budgeted, refine_resume, Checker, PairRelation, Variant};
+use crate::bisim::{
+    record_refine, refine_budgeted, refine_resume, select_engine, Checker, Engine, PairRelation,
+    Variant,
+};
 use crate::graph::{shared_pool, Graph};
+use crate::partition::{
+    partition_safe, partition_to_relation, refine_partition_budgeted, refine_partition_resume,
+};
 use bpi_core::action::Action;
 use bpi_core::name::{Name, NameSet};
 use bpi_core::syntax::P;
@@ -228,6 +238,11 @@ impl std::str::FromStr for GraphCheckpoint {
             }
         }
         let n = states.len();
+        if n == 0 {
+            // Every build starts from its root state: an empty graph
+            // would only resurface as an out-of-bounds root lookup.
+            return Err("graph checkpoint with no states".into());
+        }
         let mut edges: Vec<Vec<(Action, usize)>> = vec![Vec::new(); n];
         for (src, act, dst) in edge_lines {
             if src >= n || dst >= n {
@@ -499,6 +514,63 @@ impl std::str::FromStr for PartitionCheckpoint {
     }
 }
 
+/// The refine section of an umbrella [`Checkpoint`]: a round-boundary
+/// snapshot of whichever engine the pipeline's dispatch picked. Its
+/// text form is the engine's own codec verbatim, so the first line
+/// (`bpi-partition-checkpoint/v1` or `bpi-refine-checkpoint/v1`) says
+/// which case it is, and a snapshot resumes on the engine that took it.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum RefineSnapshot {
+    /// The partition refiner, on partition-safe products above the
+    /// naive cutover.
+    Partition(PartitionCheckpoint),
+    /// The round-synchronous pairwise engine, on naive-sized and
+    /// mixed-arity products — and every refine section written before
+    /// the pipeline dispatched.
+    Pairwise(RefineCheckpoint),
+}
+
+impl RefineSnapshot {
+    /// Rounds completed when the snapshot was taken.
+    pub fn rounds(&self) -> u64 {
+        match self {
+            RefineSnapshot::Partition(p) => p.rounds,
+            RefineSnapshot::Pairwise(r) => r.rounds,
+        }
+    }
+
+    /// The snapshot's `(left, right)` state counts.
+    fn dims(&self) -> (usize, usize) {
+        match self {
+            RefineSnapshot::Partition(p) => (p.n1, p.n2),
+            RefineSnapshot::Pairwise(r) => (r.rel.len(), r.rel.first().map_or(0, |row| row.len())),
+        }
+    }
+}
+
+impl std::fmt::Display for RefineSnapshot {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            RefineSnapshot::Partition(p) => write!(f, "{p}"),
+            RefineSnapshot::Pairwise(r) => write!(f, "{r}"),
+        }
+    }
+}
+
+impl std::str::FromStr for RefineSnapshot {
+    type Err = String;
+
+    fn from_str(s: &str) -> Result<RefineSnapshot, String> {
+        match s.lines().next() {
+            Some("bpi-partition-checkpoint/v1") => s.parse().map(RefineSnapshot::Partition),
+            Some("bpi-refine-checkpoint/v1") => s.parse().map(RefineSnapshot::Pairwise),
+            _ => Err("refine section is neither a bpi-partition-checkpoint/v1 \
+                      nor a bpi-refine-checkpoint/v1 document"
+                .into()),
+        }
+    }
+}
+
 /// Where the [`Checker`] pipeline was interrupted, with the completed
 /// prefix embedded — self-contained given the same defs, options and
 /// variant.
@@ -520,7 +592,7 @@ pub enum Checkpoint {
     Refine {
         left: GraphCheckpoint,
         right: GraphCheckpoint,
-        refine: RefineCheckpoint,
+        refine: RefineSnapshot,
     },
 }
 
@@ -547,7 +619,7 @@ impl Checkpoint {
     /// Refinement rounds completed (0 before the refine phase).
     pub fn rounds(&self) -> u64 {
         match self {
-            Checkpoint::Refine { refine, .. } => refine.rounds,
+            Checkpoint::Refine { refine, .. } => refine.rounds(),
             _ => 0,
         }
     }
@@ -572,7 +644,7 @@ impl Checkpoint {
 /// bpi-graph-checkpoint/v1
 /// …
 /// #section refine                            (refine only)
-/// bpi-refine-checkpoint/v1
+/// bpi-partition-checkpoint/v1                (or bpi-refine-checkpoint/v1)
 /// …
 /// ```
 impl std::fmt::Display for Checkpoint {
@@ -671,14 +743,11 @@ impl std::str::FromStr for Checkpoint {
                 if !left.complete() || !right.complete() {
                     return Err("refine checkpoint with incomplete graph section".into());
                 }
-                let refine: RefineCheckpoint = section("refine")?.parse()?;
-                let n2 = refine.rel.first().map_or(0, |r| r.len());
-                if refine.rel.len() != left.states.len()
-                    || (!refine.rel.is_empty() && n2 != right.states.len())
-                {
+                let refine: RefineSnapshot = section("refine")?.parse()?;
+                let (n1, n2) = refine.dims();
+                if (n1, n2) != (left.states.len(), right.states.len()) {
                     return Err(format!(
-                        "refine relation is {}x{n2} over {}x{} graphs",
-                        refine.rel.len(),
+                        "refine snapshot is {n1}x{n2} over {}x{} graphs",
                         left.states.len(),
                         right.states.len()
                     ));
@@ -786,6 +855,30 @@ fn publish_err(
     i
 }
 
+/// Runs one pipeline phase under a per-phase [`CheckpointCfg`] whose
+/// snapshots `wrap` into umbrella checkpoints: periodic ones through a
+/// [`Relay`] into the pipeline slot, an interruption's as the returned
+/// error (published last, so it wins).
+fn relayed<C, T>(
+    cfg: &CheckpointCfg<Checkpoint>,
+    wrap: &dyn Fn(C) -> Checkpoint,
+    run: impl FnOnce(&CheckpointCfg<C>) -> Result<T, Interrupted<C>>,
+) -> Result<T, Interrupted<Checkpoint>> {
+    let slot: CheckpointSlot<C> = CheckpointSlot::new();
+    let inner = inner_cfg(cfg, &slot);
+    let relay = Relay {
+        inner: slot,
+        outer: cfg.slot.clone(),
+        wrap,
+    };
+    run(&inner).map_err(|i| {
+        // Drain the relay before publishing so the freshest (error)
+        // snapshot wins in the pipeline slot.
+        drop(relay);
+        publish_err(cfg, i.map(wrap))
+    })
+}
+
 /// Anytime answer of [`Checker::check_supervised`]: like
 /// [`crate::bisim::Verdict`], but an inconclusive outcome carries the
 /// partial work — the final checkpoint and how far it got — instead of
@@ -853,11 +946,19 @@ impl<'d> Checker<'d> {
     /// any interruption as [`Interrupted`] with an umbrella
     /// [`Checkpoint`] in place of the bare error.
     ///
-    /// Differences from the plain path, by design:
+    /// Refinement runs on the engine [`crate::refine_auto`] would pick
+    /// for the product: the partition refiner
+    /// ([`refine_partition_budgeted`]) on partition-safe products above
+    /// the naive cutover, the round-synchronous pairwise engine
+    /// ([`refine_budgeted`], at `self.threads`) on naive-sized and
+    /// mixed-arity ones. Either way the relation is the one
+    /// [`Checker::check`] computes. Differences from the plain path, by
+    /// design:
     /// * the global graph memo is **bypassed** (a memo hit would skip the
-    ///   states a checkpoint must contain), and
+    ///   states a checkpoint must contain),
     /// * graph builds run sequentially (the canonical FIFO order *is* the
-    ///   checkpoint format); refinement still uses `self.threads`.
+    ///   checkpoint format), and
+    /// * `BPI_COMPOSE` is not consulted.
     ///
     /// Deterministic metrics are recorded once per completed phase, so an
     /// interrupted-and-resumed run leaves the same deterministic counter
@@ -951,31 +1052,45 @@ impl<'d> Checker<'d> {
                 (g1, g2, left, right, Some(refine))
             }
         };
-        let wrap = |rck: RefineCheckpoint| Checkpoint::Refine {
-            left: left_done.clone(),
-            right: right_done.clone(),
-            refine: rck,
+        let partition = |ck: Option<PartitionCheckpoint>| {
+            let wrap = |pck| Checkpoint::Refine {
+                left: left_done.clone(),
+                right: right_done.clone(),
+                refine: RefineSnapshot::Partition(pck),
+            };
+            let part = relayed(cfg, &wrap, |inner| match ck {
+                Some(ck) => refine_partition_resume(v, &g1, &g2, &self.budget, inner, ck),
+                None => refine_partition_budgeted(v, &g1, &g2, &self.budget, inner),
+            })?;
+            // Like `refine_auto`: the partition counters were recorded
+            // by the engine on completion, the refine counters here —
+            // once, whatever the number of slices that led up to it.
+            let rel = partition_to_relation(&part);
+            record_refine("partition", &rel, g1.len(), g2.len());
+            Ok(rel)
         };
-        let slot: CheckpointSlot<RefineCheckpoint> = CheckpointSlot::new();
-        let inner = inner_cfg(cfg, &slot);
-        let relay = Relay {
-            inner: slot,
-            outer: cfg.slot.clone(),
-            wrap: &wrap,
+        let pairwise = |ck: Option<RefineCheckpoint>| {
+            let wrap = |rck| Checkpoint::Refine {
+                left: left_done.clone(),
+                right: right_done.clone(),
+                refine: RefineSnapshot::Pairwise(rck),
+            };
+            relayed(cfg, &wrap, |inner| match ck {
+                Some(ck) => refine_resume(v, &g1, &g2, self.threads, &self.budget, inner, ck),
+                None => refine_budgeted(v, &g1, &g2, self.threads, &self.budget, inner),
+            })
         };
-        let r = match refine_ck {
-            Some(rck) => refine_resume(v, &g1, &g2, self.threads, &self.budget, &inner, rck),
-            None => refine_budgeted(v, &g1, &g2, self.threads, &self.budget, &inner),
+        // The same engine decision as `refine_auto`, except that a
+        // snapshot resumes on the engine that took it (a partition
+        // snapshot only while the product is still partition-safe — a
+        // spliced document falls back to a fresh dispatch instead).
+        let rel = match refine_ck {
+            Some(RefineSnapshot::Pairwise(ck)) => pairwise(Some(ck))?,
+            Some(RefineSnapshot::Partition(ck)) if partition_safe(&g1, &g2) => partition(Some(ck))?,
+            _ if select_engine(&g1, &g2) == Engine::Partition => partition(None)?,
+            _ => pairwise(None)?,
         };
-        match r {
-            Ok(rel) => Ok((g1, g2, rel)),
-            Err(i) => {
-                // Drain the relay before publishing so the freshest
-                // (error) snapshot wins in the pipeline slot.
-                drop(relay);
-                Err(publish_err(cfg, i.map(wrap)))
-            }
-        }
+        Ok((g1, g2, rel))
     }
 
     /// Runs (or finishes) one graph build phase, translating its
@@ -989,20 +1104,9 @@ impl<'d> Checker<'d> {
         if ck.complete() {
             return Ok(Graph::from_complete_checkpoint(ck));
         }
-        let slot: CheckpointSlot<GraphCheckpoint> = CheckpointSlot::new();
-        let inner = inner_cfg(cfg, &slot);
-        let relay = Relay {
-            inner: slot,
-            outer: cfg.slot.clone(),
-            wrap,
-        };
-        match Graph::continue_build(ck, self.defs, self.opts, &self.budget, &inner) {
-            Ok(g) => Ok(g),
-            Err(i) => {
-                drop(relay);
-                Err(publish_err(cfg, i.map(wrap)))
-            }
-        }
+        relayed(cfg, wrap, |inner| {
+            Graph::continue_build(ck, self.defs, self.opts, &self.budget, inner)
+        })
     }
 
     /// Runs at most `fuel` pipeline units (states committed in the
@@ -1221,10 +1325,22 @@ mod tests {
             Checkpoint::Refine {
                 left: left.clone(),
                 right: left.clone(),
-                refine: RefineCheckpoint {
+                refine: RefineSnapshot::Pairwise(RefineCheckpoint {
                     rel: vec![vec![true; left.states.len()]; left.states.len()],
                     rounds: 2,
-                },
+                }),
+            },
+            Checkpoint::Refine {
+                left: left.clone(),
+                right: left.clone(),
+                refine: RefineSnapshot::Partition(PartitionCheckpoint {
+                    n1: left.states.len(),
+                    n2: left.states.len(),
+                    blocks: vec![0; 2 * left.states.len()],
+                    worklist: std::collections::VecDeque::from([1, 0]),
+                    rounds: 3,
+                    splits: 0,
+                }),
             },
         ];
         for ck in cks {
@@ -1239,6 +1355,7 @@ mod tests {
             "",
             "bpi-graph-checkpoint/v2\npool\t\npending\t",
             "bpi-graph-checkpoint/v1\npool\t\npending\t0", // pending out of range
+            "bpi-graph-checkpoint/v1\npool\t\npending\t",  // no states at all
             "bpi-refine-checkpoint/v1\nrounds\t1\ndims\t1\t2\nrow\t1",
             "bpi-equiv-checkpoint/v1\nphase\tnonsense",
             "bpi-equiv-checkpoint/v1\nphase\tbuild_left\n#section left\nbpi-graph-checkpoint/v1\npool\t\npending\t",

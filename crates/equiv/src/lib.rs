@@ -54,8 +54,8 @@ pub use bisim::{
     Verdict,
 };
 pub use checkpoint::{
-    Checkpoint, GraphCheckpoint, PartitionCheckpoint, RefineCheckpoint, SliceOutcome,
-    SupervisedVerdict,
+    Checkpoint, GraphCheckpoint, PartitionCheckpoint, RefineCheckpoint, RefineSnapshot,
+    SliceOutcome, SupervisedVerdict,
 };
 pub use compose::{build_composed, compose_enabled, try_compose_pair};
 pub use congruence::{

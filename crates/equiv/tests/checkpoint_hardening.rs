@@ -5,13 +5,14 @@
 //! is attacker-adjacent: whatever is on disk after a crash gets parsed.
 
 use bpi_equiv::checkpoint::{
-    Checkpoint, GraphCheckpoint, PartitionCheckpoint, RefineCheckpoint,
+    Checkpoint, GraphCheckpoint, PartitionCheckpoint, RefineCheckpoint, RefineSnapshot,
 };
 use bpi_equiv::graph::{shared_pool, Graph, Opts};
-use bpi_equiv::{Checker, SliceOutcome, Variant, Verdict};
+use bpi_equiv::{refine_budgeted, Checker, SliceOutcome, Variant, Verdict};
 use bpi_core::builder::*;
 use bpi_core::syntax::Defs;
 use bpi_semantics::prob::McCheckpoint;
+use bpi_semantics::{Budget, CheckpointCfg};
 use bpi_semantics::{ExploreCheckpoint, FaultLog};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
@@ -33,7 +34,20 @@ fn sample_docs() -> Vec<(&'static str, String)> {
     let umbrella = Checkpoint::Refine {
         left: left.clone(),
         right: left.clone(),
-        refine: refine.clone(),
+        refine: RefineSnapshot::Pairwise(refine.clone()),
+    };
+    let n = left.states.len();
+    let umbrella_partition = Checkpoint::Refine {
+        left: left.clone(),
+        right: left.clone(),
+        refine: RefineSnapshot::Partition(PartitionCheckpoint {
+            n1: n,
+            n2: n,
+            blocks: (0..2 * n as u32).map(|u| u % 3).collect(),
+            worklist: std::collections::VecDeque::from([1, 0, 2]),
+            rounds: 4,
+            splits: 2,
+        }),
     };
     let partition = PartitionCheckpoint {
         n1: 3,
@@ -52,6 +66,7 @@ fn sample_docs() -> Vec<(&'static str, String)> {
         ("refine", refine.to_text()),
         ("partition", partition.to_text()),
         ("equiv", umbrella.to_text()),
+        ("equiv-partition", umbrella_partition.to_text()),
         ("mc", mc.to_string()),
         ("faultlog", FaultLog::default().to_string()),
     ]
@@ -92,7 +107,7 @@ fn every_truncation_of_every_codec_is_a_typed_error_or_valid() {
             "graph" => GraphCheckpoint::from_text(&doc).is_ok(),
             "refine" => RefineCheckpoint::from_text(&doc).is_ok(),
             "partition" => PartitionCheckpoint::from_text(&doc).is_ok(),
-            "equiv" => Checkpoint::from_text(&doc).is_ok(),
+            "equiv" | "equiv-partition" => Checkpoint::from_text(&doc).is_ok(),
             "mc" => doc.parse::<McCheckpoint>().is_ok(),
             _ => doc.parse::<FaultLog>().is_ok(),
         };
@@ -159,10 +174,10 @@ fn umbrella_cross_section_invariants_are_checked() {
     let refine_doc = Checkpoint::Refine {
         left: complete.clone(),
         right: complete.clone(),
-        refine: RefineCheckpoint {
+        refine: RefineSnapshot::Pairwise(RefineCheckpoint {
             rel: vec![vec![true; n]; n],
             rounds: 0,
-        },
+        }),
     }
     .to_text()
     .replace(&format!("dims\t{n}\t{n}"), &format!("dims\t{n}\t{}", n + 1));
@@ -178,12 +193,115 @@ fn umbrella_cross_section_invariants_are_checked() {
     };
     let doc = Checkpoint::Refine {
         left: complete.clone(),
-        right: complete,
-        refine: small,
+        right: complete.clone(),
+        refine: RefineSnapshot::Pairwise(small),
     }
     .to_text();
     let err = Checkpoint::from_text(&doc).unwrap_err();
     assert!(err.contains("over"), "got {err:?}");
+}
+
+/// A partition snapshot whose dimensions disagree with the two graphs'
+/// state counts would trip `Refiner::restore`'s `assert_eq!` on resume;
+/// the umbrella codec must reject it first with a typed error — and
+/// never panic, on resume or decode, however the dimensions are off.
+#[test]
+fn partition_refine_section_dimensions_are_checked() {
+    let g = sample_graph_ckpt();
+    let n = g.states.len();
+    for (n1, n2) in [
+        (n, n + 1),
+        (n + 1, n),
+        (n - 1, n + 1),
+        (1, 2 * n - 1),
+        (0, 2 * n),
+    ] {
+        let doc = Checkpoint::Refine {
+            left: g.clone(),
+            right: g.clone(),
+            refine: RefineSnapshot::Partition(PartitionCheckpoint {
+                n1,
+                n2,
+                blocks: vec![0; n1 + n2],
+                worklist: std::collections::VecDeque::new(),
+                rounds: 1,
+                splits: 0,
+            }),
+        }
+        .to_text();
+        let r = catch_unwind(AssertUnwindSafe(|| Checkpoint::from_text(&doc)));
+        let err = r
+            .unwrap_or_else(|_| panic!("decode panicked on {n1}+{n2}"))
+            .expect_err("mismatched partition dimensions must not decode");
+        assert!(err.contains("over"), "{n1}+{n2}: got {err:?}");
+    }
+    // A refine section in neither codec is a typed error too.
+    let doc = Checkpoint::Refine {
+        left: g.clone(),
+        right: g,
+        refine: RefineSnapshot::Pairwise(RefineCheckpoint {
+            rel: vec![vec![true; n]; n],
+            rounds: 0,
+        }),
+    }
+    .to_text()
+    .replace("bpi-refine-checkpoint/v1", "bpi-refine-checkpoint/v9");
+    assert!(Checkpoint::from_text(&doc).unwrap_err().contains("neither"));
+}
+
+/// Umbrella checkpoints written before the pipeline dispatched carry
+/// a `bpi-refine-checkpoint/v1` refine section — a daemon's journal may
+/// hold them for in-flight jobs. They still decode, resume on the
+/// pairwise engine (even on a product that would now go to the partition
+/// engine) and land on the straight verdict, directly and through
+/// `run_slice`.
+#[test]
+fn legacy_pairwise_refine_sections_still_resume() {
+    let d = Defs::new();
+    let [a, b] = names(["a", "b"]);
+    let chain = |n: usize| (0..n).fold(nil(), |p, _| out(a, [b], p));
+    let (p, q) = (chain(40), chain(41));
+    let opts = Opts::default();
+    let pool = shared_pool(&p, &q, opts.fresh_inputs);
+    let g1 = Graph::build(&p, &d, &pool, opts).unwrap();
+    let g2 = Graph::build(&q, &d, &pool, opts).unwrap();
+    for v in [Variant::StrongLabelled, Variant::WeakBarbed] {
+        // The pairwise engine interrupted after one round, wrapped the
+        // way the pre-dispatch pipeline wrapped it.
+        let fuel = CheckpointCfg::fuelled(1);
+        let rck = match refine_budgeted(v, &g1, &g2, 1, &Budget::unlimited(), &fuel) {
+            Err(i) => i.checkpoint,
+            Ok(_) => panic!("{v:?}: one round of fuel must interrupt"),
+        };
+        let text = Checkpoint::Refine {
+            left: GraphCheckpoint::of_graph(&g1),
+            right: GraphCheckpoint::of_graph(&g2),
+            refine: RefineSnapshot::Pairwise(rck),
+        }
+        .to_text();
+        assert!(text.contains("#section refine\nbpi-refine-checkpoint/v1\n"));
+        let ck = Checkpoint::from_text(&text).expect("legacy umbrella decodes");
+        assert!(matches!(
+            &ck,
+            Checkpoint::Refine {
+                refine: RefineSnapshot::Pairwise(_),
+                ..
+            }
+        ));
+        let c = Checker::new(&d);
+        let straight = c.check(v, &p, &q) == Verdict::Holds;
+        let (_, _, rel) = c
+            .resume_from(v, ck.clone(), &CheckpointCfg::default())
+            .expect("unlimited resume completes");
+        assert_eq!(rel.holds(0, 0), straight, "{v:?}: legacy resume diverged");
+        match c
+            .run_slice(v, &p, &q, Some(ck), 1 << 20)
+            .expect("no budget set")
+        {
+            SliceOutcome::Done { holds, .. } => assert_eq!(holds, straight, "{v:?}"),
+            SliceOutcome::Parked(_) => panic!("{v:?}: a large slice must finish"),
+        }
+    }
 }
 
 /// The park/unpark primitive: a check chopped into fuel slices reaches

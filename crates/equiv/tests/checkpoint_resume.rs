@@ -29,8 +29,8 @@ use bpi_core::name::Name;
 use bpi_core::syntax::{Defs, P};
 use bpi_equiv::arbitrary::{Gen, GenCfg};
 use bpi_equiv::{
-    refine, refine_budgeted, refine_parallel, refine_resume, shared_pool, Checker, Checkpoint,
-    Graph, Opts, Variant,
+    partition_safe, refine, refine_auto, refine_budgeted, refine_parallel, refine_resume,
+    shared_pool, Checker, Checkpoint, Graph, Opts, RefineSnapshot, Variant,
 };
 use bpi_obs::CounterDelta;
 use bpi_semantics::chaos::{self, ChaosPlan};
@@ -405,13 +405,27 @@ fn poisoned_chunk_is_typed_error_with_usable_checkpoint_not_abort() {
 /// The supervisor turns repeated chunk panics into a verdict: with chaos
 /// injecting worker panics (bounded), `check_supervised` retries from
 /// checkpoints until the injection budget runs dry and still answers
-/// `Holds` — the analysis never aborts and never answers wrongly.
+/// `Holds` — the analysis never aborts and never answers wrongly. The
+/// product mixes input arities on one channel, so the pipeline refines
+/// it on the pairwise fallback, whose chunk workers spawn at 4 threads.
 #[test]
 fn supervised_check_absorbs_injected_worker_panics() {
     let _g = lock();
     let d = Defs::new();
-    let [a, b] = names(["a", "b"]);
-    let p = chain(45, a, b);
+    let [a, b, c, x, y] = names(["a", "b", "c", "x", "y"]);
+    let p = sum(
+        chain(45, a, b),
+        sum(inp(c, [x], nil()), inp(c, [x, y], nil())),
+    );
+    let opts = Opts::default();
+    let pool = shared_pool(&p, &p, opts.fresh_inputs);
+    let g = Graph::build(&p, &d, &pool, opts).expect("finite");
+    assert!(!partition_safe(&g, &g), "the product must be mixed-arity");
+    assert!(
+        g.len() * g.len() >= 2048,
+        "need a product big enough for chunk workers to spawn, got {}",
+        g.len() * g.len()
+    );
     chaos::clear();
     chaos::install(
         ChaosPlan::new(7)
@@ -428,6 +442,139 @@ fn supervised_check_absorbs_injected_worker_panics() {
         verdict.holds(),
         "a reflexive pair must still hold under injected panics: {verdict:?}"
     );
+}
+
+/// The partition-safe twin: `chain(45)` against itself refines on the
+/// partition engine, which spawns no workers, so chaos injects budget
+/// pressure instead (strong labelled, so refinement peels the chain one
+/// block per round and runs long enough to be hit). The supervisor
+/// resumes from the partition snapshot each pressure stop leaves and
+/// still answers `Holds`.
+#[test]
+fn supervised_check_resumes_from_partition_snapshots_under_pressure() {
+    let _g = lock();
+    let d = Defs::new();
+    let [a, b] = names(["a", "b"]);
+    let p = chain(45, a, b);
+    chaos::clear();
+    chaos::install(
+        ChaosPlan::new(11)
+            .panic_prob(0.0)
+            .delay_prob(0.0)
+            .pressure_prob(0.1)
+            .max_injections(20),
+    );
+    let verdict = Checker::new(&d).check_supervised(Variant::StrongLabelled, &p, &p, 24);
+    let log = chaos::clear();
+    assert!(
+        log.events
+            .iter()
+            .any(|e| e.site() == "equiv.partition.pressure"),
+        "pressure never stopped the partition engine: {log:?}"
+    );
+    assert!(
+        verdict.holds(),
+        "a reflexive pair must still hold under injected pressure: {verdict:?}"
+    );
+}
+
+/// On partition-safe products above the naive cutover the checkpointed
+/// pipeline refines on the partition engine (its deterministic counters
+/// move, and a refine-phase park carries a partition snapshot).
+/// Interrupting at every fuel boundary and resuming from the serialised
+/// umbrella checkpoint gives the uninterrupted relation — the one
+/// `Checker::check`'s dispatch computes — and the same deterministic
+/// counter deltas, for all six variants.
+#[test]
+fn partition_pipeline_interrupts_anywhere_and_resumes_invisibly() {
+    let _g = lock();
+    let d = Defs::new();
+    let [a, b] = names(["a", "b"]);
+    let ladder = |n: usize| (0..n).fold(out_(a, [b]), |p, _| tau(p));
+    let pairs = [
+        (chain(40, a, b), chain(41, a, b)),
+        (ladder(40), ladder(41)),
+        (chain(36, a, b), chain(36, b, a)),
+    ];
+    for (p, q) in &pairs {
+        let opts = Opts::default();
+        let pool = shared_pool(p, q, opts.fresh_inputs);
+        let g1 = Graph::build(p, &d, &pool, opts).expect("finite");
+        let g2 = Graph::build(q, &d, &pool, opts).expect("finite");
+        assert!(partition_safe(&g1, &g2) && g1.len() * g2.len() > 1024);
+        for v in ALL {
+            let c = Checker::new(&d);
+            let mut reference = None;
+            let ref_delta = det_delta(|| {
+                let (_, _, rel) = c
+                    .run_with_checkpoint(v, p, q, &CheckpointCfg::default())
+                    .unwrap_or_else(|i| panic!("inert cfg interrupted: {}", i.error));
+                reference = Some(rel.rel);
+            });
+            let reference = reference.unwrap();
+            assert_eq!(
+                reference,
+                refine_auto(v, &g1, &g2, 1).rel,
+                "{v:?} on {p} vs {q}"
+            );
+            assert!(
+                ref_delta
+                    .get("equiv.partition.rounds")
+                    .is_some_and(|&r| r > 0),
+                "{v:?} on {p} vs {q} did not refine on the partition engine"
+            );
+            let mut parked_in_refine = false;
+            let mut completed = false;
+            for fuel in 1..FUEL_CAP {
+                let mut outcome = None;
+                let delta = det_delta(|| {
+                    outcome = Some(
+                        match c.run_with_checkpoint(v, p, q, &CheckpointCfg::fuelled(fuel)) {
+                            Ok((_, _, rel)) => (rel.rel, false),
+                            Err(i) => {
+                                if let Checkpoint::Refine { refine, .. } = &i.checkpoint {
+                                    assert!(
+                                        matches!(refine, RefineSnapshot::Partition(_)),
+                                        "{v:?}: refine-phase park is not a partition snapshot"
+                                    );
+                                    parked_in_refine = true;
+                                }
+                                let ck = Checkpoint::from_text(&i.checkpoint.to_text())
+                                    .expect("own checkpoint parses");
+                                let (_, _, rel) = c
+                                    .resume_from(v, ck, &CheckpointCfg::default())
+                                    .unwrap_or_else(|i| {
+                                        panic!("unlimited resume interrupted: {}", i.error)
+                                    });
+                                (rel.rel, true)
+                            }
+                        },
+                    );
+                });
+                let (got, interrupted) = outcome.unwrap();
+                assert_eq!(
+                    got, reference,
+                    "fuel={fuel} {v:?} changed the fixpoint on {p} vs {q}"
+                );
+                assert_eq!(
+                    delta, ref_delta,
+                    "fuel={fuel} {v:?} perturbed deterministic counters on {p} vs {q}"
+                );
+                if !interrupted {
+                    completed = true;
+                    break;
+                }
+            }
+            assert!(
+                completed,
+                "{v:?} on {p} vs {q} never completed within {FUEL_CAP} fuel"
+            );
+            assert!(
+                parked_in_refine,
+                "{v:?} on {p} vs {q} never parked in the refine phase"
+            );
+        }
+    }
 }
 
 /// The congruence sweep's fan-out recovers from poisoned workers on its

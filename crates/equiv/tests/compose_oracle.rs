@@ -18,8 +18,10 @@
 //!   via mixed arities and scope extrusion, pinning the fallback);
 //! * the deterministic compose counters are thread-independent.
 //!
-//! The metrics registry is process-global, so the counter-comparing
-//! tests serialise on [`LOCK`].
+//! The metrics registry is process-global and every test here builds
+//! graphs and refines, which bumps its deterministic counters; a
+//! counter-delta test would see another test's work leak into its
+//! window, so *every* test serialises on [`LOCK`].
 
 use bpi_core::builder::*;
 use bpi_core::name::Name;
@@ -99,6 +101,7 @@ fn ns3() -> Vec<Name> {
 /// (the Par-commutativity instance the expansion law must respect).
 #[test]
 fn compose_matches_oracle_on_seed_891_blocks() {
+    let _g = lock();
     let mut cfg = GenCfg::sequential(ns3());
     cfg.max_depth = 2;
     let mut g = Gen::new(cfg, 891);
@@ -123,6 +126,7 @@ fn compose_matches_oracle_on_seed_891_blocks() {
 /// two-component broadcast system on each side.
 #[test]
 fn compose_matches_oracle_on_seed_1624_shuffle() {
+    let _g = lock();
     let seed = 1624u64;
     let cfg = GenCfg::finite_monadic(names(["a", "b"]).to_vec());
     let mut g = Gen::new(cfg, seed);
@@ -139,6 +143,7 @@ fn compose_matches_oracle_on_seed_1624_shuffle() {
 /// holds wherever it accepts.
 #[test]
 fn compose_matches_oracle_on_parser_corpus_seeds() {
+    let _g = lock();
     let cfg = GenCfg {
         names: ns3(),
         max_depth: 4,
@@ -160,6 +165,7 @@ fn compose_matches_oracle_on_parser_corpus_seeds() {
 /// with the monolithic verdict (`Holds`) for every variant.
 #[test]
 fn permuted_identical_components_hold_under_every_variant() {
+    let _g = lock();
     let [a, b] = names(["a", "b"]);
     let station = || sum(out_(a, []), tau(out(b, [], inp_(a, []))));
     let relay = || inp(a, [], out_(b, []));
@@ -192,6 +198,7 @@ proptest! {
     // seeded permutation/shuffle of the first's components.
     #[test]
     fn compose_agrees_with_monolithic(seed in 0u64..1_000_000) {
+        let _g = lock();
         let cfg = GenCfg::finite_monadic(ns3());
         let mut gen = Gen::new(cfg, seed);
         let mut comps = vec![gen.process(), gen.process()];
@@ -247,6 +254,7 @@ fn compose_counters_are_thread_independent() {
 /// ladder big enough to cross the parallel-round threshold.
 #[test]
 fn parallel_partition_rounds_are_bit_identical() {
+    let _g = lock();
     let [a] = names(["a"]);
     // A τ-ladder into an output: thousands of states, so the dirty
     // queue of the first rounds exceeds the parallel threshold.

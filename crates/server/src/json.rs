@@ -155,6 +155,7 @@ fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
 /// clean `Err` (never a panic) for torn trailing lines.
 pub fn parse(src: &str) -> Result<Json, String> {
     let mut p = Parser {
+        src,
         b: src.as_bytes(),
         i: 0,
     };
@@ -172,6 +173,9 @@ pub fn parse(src: &str) -> Result<Json, String> {
 const MAX_DEPTH: usize = 64;
 
 struct Parser<'a> {
+    /// The input as text, for slicing out runs of plain characters;
+    /// `b` is the same input as bytes, for the structural tokens.
+    src: &'a str,
     b: &'a [u8],
     i: usize,
 }
@@ -303,16 +307,22 @@ impl Parser<'_> {
                     }
                     self.i += 1;
                 }
+                Some(&c) if c < 0x20 => {
+                    return Err(format!("raw control byte at offset {}", self.i));
+                }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so the
-                    // boundaries are valid by construction).
-                    let rest = std::str::from_utf8(&self.b[self.i..]).map_err(|_| "bad utf8")?;
-                    let c = rest.chars().next().unwrap();
-                    if (c as u32) < 0x20 {
-                        return Err(format!("raw control byte at offset {}", self.i));
+                    // Copy the whole run of plain characters up to the
+                    // next quote, backslash or control byte. Those are
+                    // all ASCII, so the run ends on a char boundary and
+                    // the input is only ever scanned once.
+                    let start = self.i;
+                    while let Some(&c) = self.b.get(self.i) {
+                        if c == b'"' || c == b'\\' || c < 0x20 {
+                            break;
+                        }
+                        self.i += 1;
                     }
-                    out.push(c);
-                    self.i += c.len_utf8();
+                    out.push_str(self.src.get(start..self.i).ok_or("bad utf8")?);
                 }
             }
         }
@@ -430,6 +440,65 @@ mod tests {
             s.push('[');
         }
         assert!(parse(&s).is_err());
+    }
+
+    #[test]
+    fn long_strings_roundtrip_exactly() {
+        // ~1 MB mixing ASCII, 2-, 3- and 4-byte characters and escapes.
+        let unit = "plain ascii ñ é ⟨τ⟩ → 🦀 \"q\" \\ tab\t nl\n ";
+        let big = unit.repeat(1_000_000 / unit.len() + 1);
+        assert!(big.len() >= 1_000_000);
+        let doc = Json::obj(vec![("s", Json::str(big.clone()))]);
+        let text = doc.to_string();
+        let back = parse(&text).unwrap();
+        assert_eq!(back.str_field("s"), Some(big.as_str()));
+        assert_eq!(back.to_string(), text);
+    }
+
+    #[test]
+    fn a_failing_checks_explanation_roundtrips_exactly() {
+        // The explanation of a 2-component τ-cycle product against its
+        // 1-step cycles under strong step bisimilarity: a long string
+        // full of multi-byte characters, as check responses carry it.
+        use bpi_equiv::{Checker, SliceOutcome, Variant};
+        let cycle =
+            |k: usize, i: usize| format!("rec X(){{ {}X<> + ka{i}<>.kb{i}<> }}", "tau.".repeat(k));
+        let left = format!("{} | ({})", cycle(3, 0), cycle(3, 1));
+        let right = format!("({}) | ({})", cycle(1, 1), cycle(1, 0));
+        let p = bpi_core::parse_process(&left).unwrap();
+        let q = bpi_core::parse_process(&right).unwrap();
+        let defs = bpi_core::syntax::Defs::new();
+        let why = match Checker::new(&defs).run_slice(Variant::StrongStep, &p, &q, None, usize::MAX)
+        {
+            Ok(SliceOutcome::Done {
+                holds: false,
+                explanation: Some(why),
+            }) => why,
+            other => panic!("expected a failing verdict with an explanation, got {other:?}"),
+        };
+        assert!(why.len() > 10_000, "explanation only {} bytes", why.len());
+        let doc = Json::obj(vec![("explanation", Json::str(why.clone()))]);
+        let text = doc.to_string();
+        let back = parse(&text).unwrap();
+        assert_eq!(back.str_field("explanation"), Some(why.as_str()));
+        assert_eq!(back.to_string(), text);
+    }
+
+    #[test]
+    fn string_errors_stay_typed() {
+        assert!(parse("\"a\u{1}b\"")
+            .unwrap_err()
+            .contains("raw control byte at offset 2"));
+        assert!(parse("\"ab\\q\"")
+            .unwrap_err()
+            .contains("bad escape at offset 4"));
+        assert_eq!(parse("\"\\ud800\"").unwrap_err(), "lone high surrogate");
+        assert_eq!(
+            parse("\"\\ud800\\u0041\"").unwrap_err(),
+            "bad low surrogate"
+        );
+        assert_eq!(parse("\"ñ\\u12é\"").unwrap_err(), "bad \\u escape");
+        assert_eq!(parse("\"\\ud83e\\udd80\"").unwrap(), Json::str("\u{1f980}"));
     }
 
     #[test]
