@@ -1613,7 +1613,15 @@ fn steady_job(
 ) -> std::io::Result<bpi_server::Json> {
     match kind % 4 {
         0 => c.check(id, "s", "weak-labelled", "tau.a<>", "a<>", "normal", None),
-        1 => c.check(id, "s", "strong-labelled", "a<>.b<> + a<>.b<>", "a<>.b<>", "normal", None),
+        1 => c.check(
+            id,
+            "s",
+            "strong-labelled",
+            "a<>.b<> + a<>.b<>",
+            "a<>.b<>",
+            "normal",
+            None,
+        ),
         2 => c.explore(id, "s", "Fwd<a,b> | a<v>", 400),
         _ => c.reliability(id, "s", "a<v> | a(x).x<>", "v", 0.3, 7, 8, 64),
     }
@@ -1646,8 +1654,25 @@ fn recovery_job(
             "normal",
             None,
         ),
-        3 => c.check(id, "s", "strong-labelled", "a<>.b<>", "a<>.c<>", "normal", None),
-        4 => c.reliability(id, "s", "a<v> | a(x).b<> | a(y).c<>", "v", 0.25, 11, 20, 512),
+        3 => c.check(
+            id,
+            "s",
+            "strong-labelled",
+            "a<>.b<>",
+            "a<>.c<>",
+            "normal",
+            None,
+        ),
+        4 => c.reliability(
+            id,
+            "s",
+            "a<v> | a(x).b<> | a(y).c<>",
+            "v",
+            0.25,
+            11,
+            20,
+            512,
+        ),
         _ => c.explore(id, "s", "Fwd<a,b> | Fwd<b,c> | a<v>", 2000),
     }
 }
@@ -1858,13 +1883,16 @@ fn measure_server_recovery() -> RecoveryPoint {
         .collect();
     // All jobs journal-admitted, at least one settled — then SIGKILL.
     loop {
-        assert!(std::time::Instant::now() < deadline, "recovery bench: jobs never visible");
+        assert!(
+            std::time::Instant::now() < deadline,
+            "recovery bench: jobs never visible"
+        );
         let mut c = Client::connect(addr).expect("poll connect");
         let visible = ids
             .iter()
-            .filter(|id| {
-                matches!(c.result_of(id), Ok(r) if r.str_field("error") != Some("unknown-id"))
-            })
+            .filter(
+                |id| matches!(c.result_of(id), Ok(r) if r.str_field("error") != Some("unknown-id")),
+            )
             .count();
         let done = ids
             .iter()

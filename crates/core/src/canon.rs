@@ -8,19 +8,23 @@
 
 use crate::name::{Name, NameSet};
 use crate::syntax::{Prefix, Process, RecDef, P};
+use std::sync::Arc;
 
-struct Canonizer {
+struct Canonizer<'a> {
+    /// The whole input term, for computing `taken` on demand.
+    root: &'a P,
     /// Scoped bindings, innermost last.
     env: Vec<(Name, Name)>,
     /// Next canonical index to try.
     next: usize,
     /// Canonical names occurring *free* in the whole input term; these
     /// indices must be skipped or a free `#i` would be conflated with a
-    /// bound one.
-    taken: NameSet,
+    /// bound one. Computed when the first binder is met: a binder-free
+    /// term never needs it.
+    taken: Option<NameSet>,
 }
 
-impl Canonizer {
+impl Canonizer<'_> {
     fn lookup(&self, n: Name) -> Name {
         self.env
             .iter()
@@ -30,11 +34,21 @@ impl Canonizer {
             .unwrap_or(n)
     }
 
+    /// The renamed copy of `ns`, or `None` when no name changes.
+    fn lookup_all(&self, ns: &[Name]) -> Option<Vec<Name>> {
+        if self.env.is_empty() || ns.iter().all(|&n| self.lookup(n) == n) {
+            return None;
+        }
+        Some(ns.iter().map(|&n| self.lookup(n)).collect())
+    }
+
     fn fresh_canonical(&mut self) -> Name {
+        let root = self.root;
+        let taken = self.taken.get_or_insert_with(|| free_canonicals(root));
         loop {
             let c = Name::canonical(self.next);
             self.next += 1;
-            if !self.taken.contains(c) {
+            if !taken.contains(c) {
                 return c;
             }
         }
@@ -55,50 +69,92 @@ impl Canonizer {
         out
     }
 
+    /// The canonical form of `p`, sharing every subterm that comes out
+    /// unchanged: when nothing under `p` is renamed, `p` itself.
     fn go(&mut self, p: &P) -> P {
         match &**p {
             Process::Nil => p.clone(),
             Process::Act(pre, cont) => match pre {
-                Prefix::Tau => Process::Act(Prefix::Tau, self.go(cont)).rc(),
-                Prefix::Output(a, ys) => Process::Act(
-                    Prefix::Output(
-                        self.lookup(*a),
-                        ys.iter().map(|&y| self.lookup(y)).collect(),
-                    ),
-                    self.go(cont),
-                )
-                .rc(),
+                Prefix::Tau => {
+                    let c = self.go(cont);
+                    if Arc::ptr_eq(&c, cont) {
+                        return p.clone();
+                    }
+                    Process::Act(Prefix::Tau, c).rc()
+                }
+                Prefix::Output(a, ys) => {
+                    let a2 = self.lookup(*a);
+                    let ys2 = self.lookup_all(ys);
+                    let c = self.go(cont);
+                    if a2 == *a && ys2.is_none() && Arc::ptr_eq(&c, cont) {
+                        return p.clone();
+                    }
+                    let ys2 = ys2.unwrap_or_else(|| ys.clone());
+                    Process::Act(Prefix::Output(a2, ys2), c).rc()
+                }
                 Prefix::Input(a, binders) => {
                     let subj = self.lookup(*a);
                     self.with_binders(binders, |me, fresh| {
-                        Process::Act(Prefix::Input(subj, fresh.to_vec()), me.go(cont)).rc()
+                        let c = me.go(cont);
+                        if subj == *a && fresh == &binders[..] && Arc::ptr_eq(&c, cont) {
+                            return p.clone();
+                        }
+                        Process::Act(Prefix::Input(subj, fresh.to_vec()), c).rc()
                     })
                 }
             },
-            Process::Sum(l, r) => Process::Sum(self.go(l), self.go(r)).rc(),
-            Process::Par(l, r) => Process::Par(self.go(l), self.go(r)).rc(),
+            Process::Sum(l, r) => {
+                let (l2, r2) = (self.go(l), self.go(r));
+                if Arc::ptr_eq(&l2, l) && Arc::ptr_eq(&r2, r) {
+                    return p.clone();
+                }
+                Process::Sum(l2, r2).rc()
+            }
+            Process::Par(l, r) => {
+                let (l2, r2) = (self.go(l), self.go(r));
+                if Arc::ptr_eq(&l2, l) && Arc::ptr_eq(&r2, r) {
+                    return p.clone();
+                }
+                Process::Par(l2, r2).rc()
+            }
             Process::New(x, cont) => self.with_binders(std::slice::from_ref(x), |me, fresh| {
-                Process::New(fresh[0], me.go(cont)).rc()
+                let c = me.go(cont);
+                if fresh[0] == *x && Arc::ptr_eq(&c, cont) {
+                    return p.clone();
+                }
+                Process::New(fresh[0], c).rc()
             }),
             Process::Match(x, y, l, r) => {
-                Process::Match(self.lookup(*x), self.lookup(*y), self.go(l), self.go(r)).rc()
+                let (x2, y2) = (self.lookup(*x), self.lookup(*y));
+                let (l2, r2) = (self.go(l), self.go(r));
+                if x2 == *x && y2 == *y && Arc::ptr_eq(&l2, l) && Arc::ptr_eq(&r2, r) {
+                    return p.clone();
+                }
+                Process::Match(x2, y2, l2, r2).rc()
             }
-            Process::Call(id, args) => {
-                Process::Call(*id, args.iter().map(|&a| self.lookup(a)).collect()).rc()
-            }
-            Process::Var(id, args) => {
-                Process::Var(*id, args.iter().map(|&a| self.lookup(a)).collect()).rc()
-            }
+            Process::Call(id, args) => match self.lookup_all(args) {
+                None => p.clone(),
+                Some(args2) => Process::Call(*id, args2).rc(),
+            },
+            Process::Var(id, args) => match self.lookup_all(args) {
+                None => p.clone(),
+                Some(args2) => Process::Var(*id, args2).rc(),
+            },
             Process::Rec(def, args) => {
-                let args2: Vec<Name> = args.iter().map(|&a| self.lookup(a)).collect();
+                let args2 = self.lookup_all(args);
                 self.with_binders(&def.params, |me, fresh| {
+                    let body = me.go(&def.body);
+                    if args2.is_none() && fresh == &def.params[..] && Arc::ptr_eq(&body, &def.body)
+                    {
+                        return p.clone();
+                    }
                     Process::Rec(
                         RecDef {
                             ident: def.ident,
                             params: fresh.to_vec(),
-                            body: me.go(&def.body),
+                            body,
                         },
-                        args2,
+                        args2.unwrap_or_else(|| args.clone()),
                     )
                     .rc()
                 })
@@ -107,14 +163,78 @@ impl Canonizer {
     }
 }
 
+/// The canonical (`#…`) names occurring free in `p`.
+fn free_canonicals(p: &P) -> NameSet {
+    fn add(n: Name, bound: &[Name], out: &mut NameSet) {
+        if n.is_canonical() && !bound.contains(&n) {
+            out.insert(n);
+        }
+    }
+    fn go(p: &Process, bound: &mut Vec<Name>, out: &mut NameSet) {
+        let depth = bound.len();
+        match p {
+            Process::Nil => {}
+            Process::Act(pre, cont) => {
+                match pre {
+                    Prefix::Tau => {}
+                    Prefix::Output(a, ys) => {
+                        add(*a, bound, out);
+                        for &y in ys {
+                            add(y, bound, out);
+                        }
+                    }
+                    Prefix::Input(a, binders) => {
+                        add(*a, bound, out);
+                        bound.extend(binders.iter().copied());
+                    }
+                }
+                go(cont, bound, out);
+            }
+            Process::Sum(l, r) | Process::Par(l, r) => {
+                go(l, bound, out);
+                go(r, bound, out);
+            }
+            Process::New(x, cont) => {
+                bound.push(*x);
+                go(cont, bound, out);
+            }
+            Process::Match(x, y, l, r) => {
+                add(*x, bound, out);
+                add(*y, bound, out);
+                go(l, bound, out);
+                go(r, bound, out);
+            }
+            Process::Call(_, args) | Process::Var(_, args) => {
+                for &a in args {
+                    add(a, bound, out);
+                }
+            }
+            Process::Rec(def, args) => {
+                for &a in args {
+                    add(a, bound, out);
+                }
+                bound.extend(def.params.iter().copied());
+                go(&def.body, bound, out);
+            }
+        }
+        bound.truncate(depth);
+    }
+    let mut out = NameSet::new();
+    go(p, &mut Vec::new(), &mut out);
+    out
+}
+
 /// The α-canonical form of `p`: all binders renamed to `#0, #1, …` in
 /// pre-order. `canon(p) == canon(q)` iff `p =α q`.
+///
+/// Unchanged subterms are shared with `p`, not copied: a binder-free or
+/// already canonical `p` comes back as `p` itself (`Arc::ptr_eq`).
 pub fn canon(p: &P) -> P {
-    let taken = NameSet::from_iter(p.free_names().iter().filter(|n| n.is_canonical()));
     let mut c = Canonizer {
+        root: p,
         env: Vec::new(),
         next: 0,
-        taken,
+        taken: None,
     };
     c.go(p)
 }
@@ -191,6 +311,18 @@ mod tests {
         let c1 = canon(&p);
         let c2 = canon(&c1);
         assert_eq!(c1, c2);
+    }
+
+    #[test]
+    fn renamed_terms_share_their_unchanged_subterms() {
+        let [a, b, x] = names(["a", "b", "x"]);
+        let fixed = out(a, [b], nil());
+        let p = par(fixed.clone(), new(x, out_(x, [])));
+        let c = canon(&p);
+        let Process::Par(l, _) = &*c else {
+            panic!("canon keeps the top-level shape: {c:?}")
+        };
+        assert!(Arc::ptr_eq(l, &fixed));
     }
 
     #[test]

@@ -16,10 +16,14 @@
 //! The interner holds only [`std::sync::Weak`] references: dropping every
 //! `Consed` handle for a term releases its memory; stale entries are swept
 //! opportunistically on insertion. A pointer-keyed fast path makes
-//! re-consing the *same allocation* a single hash-map probe with no tree
-//! walk at all — sound because a successful `Weak::upgrade` of the
-//! original `Arc` proves the allocation is still alive, hence its address
-//! has not been reused.
+//! re-consing a cell's *own allocation* ([`Consed::term`]) a single
+//! hash-map probe with no tree walk at all — sound because a successful
+//! `Weak::upgrade` of the original `Arc` proves the allocation is still
+//! alive, hence its address has not been reused. Only the allocation a
+//! cell was minted from is recorded there, so the pointer map holds at
+//! most one entry per cell and a structural (hash) hit never takes the
+//! write lock. Callers that keep terms around should keep
+//! [`Consed::term`] (or the [`Consed`] itself), not their own copy.
 
 use crate::canon::canon;
 use crate::name::NameSet;
@@ -114,9 +118,10 @@ impl std::fmt::Debug for Consed {
 struct Store {
     /// Structural-hash buckets of live-or-stale cells.
     buckets: HashMap<u64, Vec<Weak<ConsCell>>>,
-    /// Pointer fast path: allocation address → (allocation witness, cell).
-    /// The witness `Weak<Process>` upgrading successfully proves the keyed
-    /// address still belongs to the original allocation.
+    /// Pointer fast path: a cell's own allocation address →
+    /// (allocation witness, cell). The witness `Weak<Process>` upgrading
+    /// successfully proves the keyed address still belongs to the
+    /// original allocation.
     by_ptr: HashMap<usize, (Weak<Process>, Weak<ConsCell>)>,
     /// Sweep stale `by_ptr` entries when it grows past this watermark.
     ptr_watermark: usize,
@@ -146,6 +151,12 @@ pub fn store_stats() -> (u64, u64, u64) {
     )
 }
 
+/// Number of entries in the interner's pointer map, live or stale — at
+/// most one per cell minted since the last sweep.
+pub fn ptr_map_len() -> usize {
+    STORE.read().by_ptr.len()
+}
+
 fn structural_hash(p: &Process) -> u64 {
     let mut h = std::hash::DefaultHasher::new();
     p.hash(&mut h);
@@ -155,9 +166,11 @@ fn structural_hash(p: &Process) -> u64 {
 /// Interns `p` into the global store, returning its consed handle.
 ///
 /// Three tiers, fastest first:
-/// 1. **pointer probe** — this exact allocation was consed before;
-/// 2. **hash probe** — a structurally equal term is live in the store;
-/// 3. **miss** — allocate a fresh cell with a new [`TermId`].
+/// 1. **pointer probe** — `p` is a live cell's own allocation;
+/// 2. **hash probe** — a structurally equal term is live in the store
+///    (read lock only: `p`'s address is not recorded);
+/// 3. **miss** — mint a fresh cell with a new [`TermId`] around `p`'s
+///    allocation and record that allocation in the pointer map.
 pub fn cons(p: &P) -> Consed {
     let key = Arc::as_ptr(p) as usize;
     {
@@ -176,9 +189,7 @@ pub fn cons(p: &P) -> Consed {
     {
         let g = STORE.read();
         if let Some(cell) = probe_bucket(&g, hash, p) {
-            drop(g);
             HASH_HITS.fetch_add(1, Ordering::Relaxed);
-            remember_ptr(key, p, &cell);
             return Consed { cell };
         }
     }
@@ -187,7 +198,6 @@ pub fn cons(p: &P) -> Consed {
     // Re-probe under the write lock: another thread may have inserted.
     if let Some(cell) = probe_bucket(&g, hash, p) {
         HASH_HITS.fetch_add(1, Ordering::Relaxed);
-        insert_ptr(&mut g, key, p, &cell);
         return Consed { cell };
     }
     MISSES.fetch_add(1, Ordering::Relaxed);
@@ -216,11 +226,6 @@ fn probe_bucket(g: &Store, hash: u64, p: &P) -> Option<Arc<ConsCell>> {
         }
     }
     None
-}
-
-fn remember_ptr(key: usize, p: &P, cell: &Arc<ConsCell>) {
-    let mut g = STORE.write();
-    insert_ptr(&mut g, key, p, cell);
 }
 
 fn insert_ptr(g: &mut Store, key: usize, p: &P, cell: &Arc<ConsCell>) {

@@ -51,7 +51,7 @@ use bpi_core::syntax::P;
 use bpi_obs::Value;
 use bpi_semantics::budget::EngineError;
 use bpi_semantics::checkpoint::{record_resume, CheckpointCfg, CheckpointSlot, Interrupted};
-use bpi_semantics::normalize_state_cached;
+use bpi_semantics::intern_state;
 use bpi_semantics::supervise::SuperviseError;
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -76,11 +76,11 @@ pub struct GraphCheckpoint {
 }
 
 impl GraphCheckpoint {
-    /// The initial snapshot of a fresh build: the normalised seed state,
+    /// The initial snapshot of a fresh build: the interned seed state,
     /// queued.
     pub fn seed(seed: &P, pool: &[Name]) -> GraphCheckpoint {
         GraphCheckpoint {
-            states: vec![normalize_state_cached(seed, None)],
+            states: vec![intern_state(seed, None).term().clone()],
             edges: vec![Vec::new()],
             discarding: vec![NameSet::new()],
             pending: VecDeque::from([0]),

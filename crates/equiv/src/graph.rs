@@ -28,10 +28,11 @@ use bpi_core::Consed;
 use bpi_obs::{counter, Counter, Det, Value};
 use bpi_semantics::budget::{Budget, EngineError};
 use bpi_semantics::checkpoint::{record_snapshot, CheckpointCfg, Interrupted};
-use bpi_semantics::frontier::{expand_frontier, renumber_bfs, Expansion};
+use bpi_semantics::frontier::{cell_terms, expand_frontier, renumber_bfs, Expansion};
 use bpi_semantics::lts::{tuples, Lts};
-use bpi_semantics::{input_transitions_cached, normalize_state_cached, step_transitions_cached};
+use bpi_semantics::{input_transitions_consed, intern_state, step_transitions_consed};
 use parking_lot::RwLock;
+use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::sync::{Arc, LazyLock, OnceLock};
 
@@ -483,6 +484,65 @@ pub fn normalize_bound_output(act: Action, cont: P, avoid: &NameSet) -> (Action,
     )
 }
 
+/// The one per-state expansion shared by every graph builder
+/// (sequential, checkpointed and parallel), so all three produce the
+/// same edge lists and discard sets by construction.
+struct Expander<'a> {
+    lts: Lts<'a>,
+    pool: &'a [Name],
+    pool_set: NameSet,
+}
+
+impl<'a> Expander<'a> {
+    fn new(defs: &'a Defs, pool: &'a [Name]) -> Expander<'a> {
+        Expander {
+            lts: Lts::new(defs),
+            pool,
+            pool_set: NameSet::from_iter(pool.iter().copied()),
+        }
+    }
+
+    /// Expands `src`: its step successors, bound outputs renamed to
+    /// `#b` representatives, then its input successors over the dynamic
+    /// pool, each interned once; and the pool channels `src` discards.
+    fn expand(&self, src: &Consed) -> Expansion<Action, NameSet> {
+        let src_free = src.free_names();
+        // Dynamic pool: the global pool plus extruded representatives
+        // that became free in this state, so later inputs can mention
+        // them.
+        let extruded: Vec<Name> = src_free
+            .iter()
+            .filter(|&n| !self.pool_set.contains(n) && n.spelling().starts_with("#b"))
+            .collect();
+        let dyn_pool = if extruded.is_empty() {
+            Cow::Borrowed(self.pool)
+        } else {
+            Cow::Owned([self.pool, &extruded].concat())
+        };
+        let mut avoid: Option<NameSet> = None;
+        let mut succs = Vec::new();
+        for (act, cont) in step_transitions_consed(&self.lts, src).iter() {
+            if act.bound_names().is_empty() {
+                succs.push((act.clone(), intern_state(cont, None)));
+            } else {
+                let avoid = avoid.get_or_insert_with(|| src_free.union(&self.pool_set));
+                let (act, cont) = normalize_bound_output(act.clone(), cont.clone(), avoid);
+                succs.push((act, intern_state(&cont, None)));
+            }
+        }
+        for (act, cont) in input_transitions_consed(&self.lts, src, &dyn_pool).iter() {
+            succs.push((act.clone(), intern_state(cont, None)));
+        }
+        let mut disc = NameSet::new();
+        for &a in dyn_pool.iter() {
+            if self.lts.discards(src.term(), a) {
+                disc.insert(a);
+            }
+        }
+        Expansion { succs, meta: disc }
+    }
+}
+
 /// Global memo of completed graph builds, keyed by
 /// *(consed seed, defs generation, pool)*. The `Consed` handle in the key
 /// pins the term's interned identity (see `bpi_core::store`). Cleared
@@ -525,20 +585,19 @@ impl Graph {
         opts: Opts,
         budget: &Budget,
     ) -> Result<Graph, EngineError> {
-        let lts = Lts::new(defs);
-        let pool_set = NameSet::from_iter(pool.iter().copied());
+        let expander = Expander::new(defs, pool);
         let cap = opts.max_states.min(budget.max_states());
         // Consed keys: visited checks are an O(1) id probe, and the
         // handle pins the class so the id stays stable for the build.
         // (The cell's interior OnceLocks never feed Hash/Eq.)
         #[allow(clippy::mutable_key_type)]
         let mut index: HashMap<Consed, usize> = HashMap::new();
-        let mut states = Vec::new();
+        let mut states: Vec<Consed> = Vec::new();
         let mut edges: Vec<Vec<(Action, usize)>> = Vec::new();
         let mut discarding = Vec::new();
 
-        let s0 = normalize_state_cached(seed, None);
-        index.insert(bpi_core::cons(&s0), 0);
+        let s0 = intern_state(seed, None);
+        index.insert(s0.clone(), 0);
         states.push(s0);
         // FIFO expansion: state numbering is then canonical breadth-first
         // discovery order, the same order `build_parallel` renumbers to.
@@ -546,71 +605,30 @@ impl Graph {
 
         while let Some(i) = work.pop_front() {
             budget.check(0)?;
-            let src = states[i].clone();
-            let src_free = bpi_core::cached_free_names(&src);
-            // Dynamic pool: global pool plus extruded representatives that
-            // became free in this state (so later inputs can mention them).
-            let mut dyn_pool = pool.to_vec();
-            for n in &src_free {
-                if !pool_set.contains(n) && n.spelling().starts_with("#b") {
-                    dyn_pool.push(n);
-                }
-            }
-            let avoid = src_free.union(&pool_set);
-
-            let mut out = Vec::new();
-            let push = |act: Action,
-                        cont: P,
-                        states: &mut Vec<P>,
-                        index: &mut HashMap<Consed, usize>,
-                        work: &mut VecDeque<usize>,
-                        out: &mut Vec<(Action, usize)>|
-             -> Result<(), EngineError> {
-                let state = normalize_state_cached(&cont, None);
-                let key = bpi_core::cons(&state);
-                let j = match index.get(&key) {
+            let exp = expander.expand(&states[i]);
+            let mut out = Vec::with_capacity(exp.succs.len());
+            for (act, state) in exp.succs {
+                let j = match index.get(&state) {
                     Some(&j) => j,
                     None => {
                         if states.len() >= cap {
                             return Err(EngineError::StateBudgetExceeded { limit: cap });
                         }
                         let j = states.len();
-                        index.insert(key, j);
+                        index.insert(state.clone(), j);
                         states.push(state);
                         work.push_back(j);
                         j
                     }
                 };
                 out.push((act, j));
-                Ok(())
-            };
-
-            for (act, cont) in step_transitions_cached(&lts, &src).iter() {
-                let (act, cont) = normalize_bound_output(act.clone(), cont.clone(), &avoid);
-                push(act, cont, &mut states, &mut index, &mut work, &mut out)?;
-            }
-            for (act, cont) in input_transitions_cached(&lts, &src, &dyn_pool).iter() {
-                push(
-                    act.clone(),
-                    cont.clone(),
-                    &mut states,
-                    &mut index,
-                    &mut work,
-                    &mut out,
-                )?;
-            }
-            let mut disc = NameSet::new();
-            for &a in &dyn_pool {
-                if lts.discards(&src, a) {
-                    disc.insert(a);
-                }
             }
             while edges.len() < states.len() {
                 edges.push(Vec::new());
                 discarding.push(NameSet::new());
             }
             edges[i] = out;
-            discarding[i] = disc;
+            discarding[i] = exp.meta;
         }
         // `states` may outrun `edges` when the last expansions created
         // fresh states; pad (they are processed because `work` drains).
@@ -618,7 +636,12 @@ impl Graph {
             edges.push(Vec::new());
             discarding.push(NameSet::new());
         }
-        Ok(Graph::from_parts(states, edges, discarding, pool.to_vec()))
+        Ok(Graph::from_parts(
+            cell_terms(&states),
+            edges,
+            discarding,
+            pool.to_vec(),
+        ))
     }
 
     /// [`Graph::build_with_budget`] in checkpointed form: any
@@ -677,7 +700,7 @@ impl Graph {
     ) -> Result<Graph, Interrupted<GraphCheckpoint>> {
         let _span = bpi_obs::span("equiv.graph", "build_checkpointed");
         let GraphCheckpoint {
-            mut states,
+            states,
             mut edges,
             mut discarding,
             mut pending,
@@ -689,19 +712,19 @@ impl Graph {
             discarding.len(),
             "corrupt checkpoint: discards"
         );
-        let lts = Lts::new(defs);
-        let pool_set = NameSet::from_iter(pool.iter().copied());
+        let expander = Expander::new(defs, &pool);
         let cap = opts.max_states.min(budget.max_states());
+        let mut states: Vec<Consed> = states.iter().map(bpi_core::cons).collect();
         #[allow(clippy::mutable_key_type)]
         let mut index: HashMap<Consed, usize> = states
             .iter()
             .enumerate()
-            .map(|(i, s)| (bpi_core::cons(s), i))
+            .map(|(i, s)| (s.clone(), i))
             .collect();
         macro_rules! snapshot {
             () => {
                 GraphCheckpoint {
-                    states: states.clone(),
+                    states: cell_terms(&states),
                     edges: edges.clone(),
                     discarding: discarding.clone(),
                     pending: pending.clone(),
@@ -725,45 +748,26 @@ impl Graph {
                     checkpoint: snapshot!(),
                 });
             }
-            let src = states[i].clone();
-            let src_free = bpi_core::cached_free_names(&src);
-            let mut dyn_pool = pool.to_vec();
-            for n in &src_free {
-                if !pool_set.contains(n) && n.spelling().starts_with("#b") {
-                    dyn_pool.push(n);
-                }
-            }
-            let avoid = src_free.union(&pool_set);
+            let exp = expander.expand(&states[i]);
 
             // Stage the expansion: fresh states are numbered as the
             // sequential build would number them, but inserted only if
             // the whole batch fits under the ceiling.
-            let mut out: Vec<(Action, usize)> = Vec::new();
-            let mut fresh: Vec<P> = Vec::new();
+            let mut out: Vec<(Action, usize)> = Vec::with_capacity(exp.succs.len());
+            let mut fresh: Vec<Consed> = Vec::new();
             #[allow(clippy::mutable_key_type)]
             let mut fresh_index: HashMap<Consed, usize> = HashMap::new();
-            {
-                let mut stage = |act: Action, cont: P| {
-                    let state = normalize_state_cached(&cont, None);
-                    let key = bpi_core::cons(&state);
-                    let j = match index.get(&key).or_else(|| fresh_index.get(&key)) {
-                        Some(&j) => j,
-                        None => {
-                            let j = states.len() + fresh.len();
-                            fresh_index.insert(key, j);
-                            fresh.push(state);
-                            j
-                        }
-                    };
-                    out.push((act, j));
+            for (act, state) in exp.succs {
+                let j = match index.get(&state).or_else(|| fresh_index.get(&state)) {
+                    Some(&j) => j,
+                    None => {
+                        let j = states.len() + fresh.len();
+                        fresh_index.insert(state.clone(), j);
+                        fresh.push(state);
+                        j
+                    }
                 };
-                for (act, cont) in step_transitions_cached(&lts, &src).iter() {
-                    let (act, cont) = normalize_bound_output(act.clone(), cont.clone(), &avoid);
-                    stage(act, cont);
-                }
-                for (act, cont) in input_transitions_cached(&lts, &src, &dyn_pool).iter() {
-                    stage(act.clone(), cont.clone());
-                }
+                out.push((act, j));
             }
             if states.len() + fresh.len() > cap {
                 // Same ceiling as the sequential build (committed states
@@ -775,28 +779,26 @@ impl Graph {
                     checkpoint: snapshot!(),
                 });
             }
-            let mut disc = NameSet::new();
-            for &a in &dyn_pool {
-                if lts.discards(&src, a) {
-                    disc.insert(a);
-                }
-            }
             // Commit.
             pending.pop_front();
-            for (key, &j) in &fresh_index {
-                index.insert(key.clone(), j);
-            }
             for state in fresh {
-                pending.push_back(states.len());
+                let j = states.len();
+                index.insert(state.clone(), j);
+                pending.push_back(j);
                 states.push(state);
                 edges.push(Vec::new());
                 discarding.push(NameSet::new());
             }
             edges[i] = out;
-            discarding[i] = disc;
+            discarding[i] = exp.meta;
             cfg.maybe_snapshot(states.len() - pending.len(), || snapshot!());
         }
-        Ok(Graph::from_parts(states, edges, discarding, pool))
+        Ok(Graph::from_parts(
+            cell_terms(&states),
+            edges,
+            discarding,
+            pool,
+        ))
     }
 
     /// Reassembles a graph from a **completed** build snapshot without
@@ -893,41 +895,15 @@ impl Graph {
             return Graph::build_with_budget(seed, defs, pool, opts, budget);
         }
         let _span = bpi_obs::span("equiv.graph", "build_parallel");
-        let pool_set = NameSet::from_iter(pool.iter().copied());
+        let expander = Expander::new(defs, pool);
         let cap = opts.max_states.min(budget.max_states());
-        let s0 = normalize_state_cached(seed, None);
         let outcome = expand_frontier(
-            s0,
+            intern_state(seed, None),
             cap,
             budget,
             threads,
             /* stop_on_cap */ true,
-            |src| {
-                let lts = Lts::new(defs);
-                let src_free = bpi_core::cached_free_names(src);
-                let mut dyn_pool = pool.to_vec();
-                for n in &src_free {
-                    if !pool_set.contains(n) && n.spelling().starts_with("#b") {
-                        dyn_pool.push(n);
-                    }
-                }
-                let avoid = src_free.union(&pool_set);
-                let mut succs = Vec::new();
-                for (act, cont) in step_transitions_cached(&lts, src).iter() {
-                    let (act, cont) = normalize_bound_output(act.clone(), cont.clone(), &avoid);
-                    succs.push((act, normalize_state_cached(&cont, None)));
-                }
-                for (act, cont) in input_transitions_cached(&lts, src, &dyn_pool).iter() {
-                    succs.push((act.clone(), normalize_state_cached(cont, None)));
-                }
-                let mut disc = NameSet::new();
-                for &a in &dyn_pool {
-                    if lts.discards(src, a) {
-                        disc.insert(a);
-                    }
-                }
-                Expansion { succs, meta: disc }
-            },
+            |src| expander.expand(src),
         );
         if let Some(e) = outcome.interrupted {
             if matches!(e, EngineError::WorkerPanicked) && bpi_semantics::chaos::is_active() {

@@ -4,13 +4,13 @@
 //! daemon replays persisted checkpoints on restart, so the decode path
 //! is attacker-adjacent: whatever is on disk after a crash gets parsed.
 
+use bpi_core::builder::*;
+use bpi_core::syntax::Defs;
 use bpi_equiv::checkpoint::{
     Checkpoint, GraphCheckpoint, PartitionCheckpoint, RefineCheckpoint, RefineSnapshot,
 };
 use bpi_equiv::graph::{shared_pool, Graph, Opts};
 use bpi_equiv::{refine_budgeted, Checker, SliceOutcome, Variant, Verdict};
-use bpi_core::builder::*;
-use bpi_core::syntax::Defs;
 use bpi_semantics::prob::McCheckpoint;
 use bpi_semantics::{Budget, CheckpointCfg};
 use bpi_semantics::{ExploreCheckpoint, FaultLog};
@@ -119,7 +119,10 @@ fn every_truncation_of_every_codec_is_a_typed_error_or_valid() {
 fn corrupted_bytes_are_typed_errors_never_panics() {
     for (_, doc) in sample_docs() {
         for (i, repl) in [(doc.len() / 3, "\u{7f}"), (doc.len() / 2, "99999999999")] {
-            let i = (0..=i).rev().find(|&k| doc.is_char_boundary(k)).unwrap_or(0);
+            let i = (0..=i)
+                .rev()
+                .find(|&k| doc.is_char_boundary(k))
+                .unwrap_or(0);
             let mut bad = String::new();
             bad.push_str(&doc[..i]);
             bad.push_str(repl);
@@ -314,7 +317,10 @@ fn run_slice_parks_resumes_and_agrees_with_straight_check() {
     let [a, b] = names(["a", "b"]);
     let pairs = [
         (out(a, [b], tau(out_(b, []))), out(a, [b], out_(b, []))),
-        (out(a, [b], tau(out_(b, []))), out(a, [b], tau(tau(out_(b, []))))),
+        (
+            out(a, [b], tau(out_(b, []))),
+            out(a, [b], tau(tau(out_(b, [])))),
+        ),
         (out_(a, [b]), out_(b, [a])),
     ];
     for (p, q) in pairs {
@@ -327,7 +333,10 @@ fn run_slice_parks_resumes_and_agrees_with_straight_check() {
                 let holds = loop {
                     slices += 1;
                     assert!(slices < 10_000, "slice loop diverged at fuel {fuel}");
-                    match c.run_slice(v, &p, &q, parked.take(), fuel).expect("no budget set") {
+                    match c
+                        .run_slice(v, &p, &q, parked.take(), fuel)
+                        .expect("no budget set")
+                    {
                         SliceOutcome::Done { holds, .. } => break holds,
                         SliceOutcome::Parked(ck) => {
                             // Round-trip through the wire format, as the

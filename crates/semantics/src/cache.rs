@@ -1,13 +1,18 @@
-//! Memoized semantic derivations.
+//! Memoized semantic derivations and state interning.
 //!
-//! Transition derivation (`Lts::step_transitions`), pool-instantiated
-//! input derivation, and state normalisation are pure functions of
-//! *(term, definition environment)* — and exploration, weak closures and
-//! bisimulation graphs call them over and over on the same terms. This
-//! module memoizes them globally, keyed by the hash-consed
-//! [`TermId`](bpi_core::TermId) of the term and the
-//! [`Defs::generation`](bpi_core::syntax::Defs::generation) stamp, so a
-//! definition update invalidates exactly the entries it could affect.
+//! Transition derivation (`Lts::step_transitions`) and pool-instantiated
+//! input derivation are pure functions of *(term, definition
+//! environment)* — and exploration, weak closures and bisimulation graphs
+//! call them over and over on the same terms. This module memoizes them
+//! globally, keyed by the hash-consed [`TermId`](bpi_core::TermId) of the
+//! term and the [`Defs::generation`](bpi_core::syntax::Defs::generation)
+//! stamp, so a definition update invalidates exactly the entries it could
+//! affect.
+//!
+//! [`intern_state`] turns a derived successor into an explored state:
+//! structural GC, optional extruded-name folding, α-canonicalisation and
+//! one `cons`. Builders keep the returned cell's own allocation as the
+//! state, so every later memo probe on it is an interner pointer hit.
 //!
 //! **Soundness of replaying fresh names.** Scope extrusion (rule (5) of
 //! Table 3) mints a globally fresh name per derivation. A memoized entry
@@ -42,13 +47,13 @@ const CACHE_CAP: usize = 1 << 20;
 // a miss).
 type StepKey = (Consed, u64);
 type InputKey = (Consed, u64, Vec<Name>);
-type NormKey = (Consed, Option<NameSet>);
+type NormKey = (Consed, NameSet);
 
 type TransMemo<K> = RwLock<HashMap<K, Arc<Vec<(Action, P)>>>>;
 
 static STEP_MEMO: LazyLock<TransMemo<StepKey>> = LazyLock::new(|| RwLock::new(HashMap::new()));
 static INPUT_MEMO: LazyLock<TransMemo<InputKey>> = LazyLock::new(|| RwLock::new(HashMap::new()));
-static NORM_MEMO: LazyLock<RwLock<HashMap<NormKey, P>>> =
+static NORM_MEMO: LazyLock<RwLock<HashMap<NormKey, Consed>>> =
     LazyLock::new(|| RwLock::new(HashMap::new()));
 
 // Hit/miss rates are *advisory*: the memos are process-global and
@@ -76,59 +81,67 @@ fn insert_capped<K: std::hash::Hash + Eq, V>(map: &RwLock<HashMap<K, V>>, k: K, 
 
 /// `lts.step_transitions(p)`, derived once per (term, defs generation).
 ///
-/// The returned successor allocations are shared across calls, so
-/// downstream per-allocation caches (consing's pointer fast path, the
-/// normalisation memo) hit on every revisit.
+/// The returned successor allocations are shared across calls.
 pub fn step_transitions_cached(lts: &Lts<'_>, p: &P) -> Arc<Vec<(Action, P)>> {
+    step_transitions_consed(lts, &bpi_core::cons(p))
+}
+
+/// [`step_transitions_cached`] for a term the caller already holds
+/// consed: no interner probe at all.
+pub fn step_transitions_consed(lts: &Lts<'_>, p: &Consed) -> Arc<Vec<(Action, P)>> {
     // Chaos delay site: memo caches must tolerate arbitrary scheduling
     // between probe and fill without changing any result.
     crate::chaos::delay("semantics.cache.step");
-    let key = (bpi_core::cons(p), lts.defs.generation());
+    let key = (p.clone(), lts.defs.generation());
     if let Some(v) = STEP_MEMO.read().get(&key) {
         STEP_HITS.inc();
         return v.clone();
     }
     STEP_MISSES.inc();
-    let v = Arc::new(lts.step_transitions(p));
+    let v = Arc::new(lts.step_transitions(p.term()));
     insert_capped(&STEP_MEMO, key, v.clone());
     v
 }
 
 /// `lts.input_transitions(p, pool)`, memoized per (term, defs generation,
 /// pool).
-pub fn input_transitions_cached(lts: &Lts<'_>, p: &P, pool: &[Name]) -> Arc<Vec<(Action, P)>> {
-    let key = (bpi_core::cons(p), lts.defs.generation(), pool.to_vec());
+pub fn input_transitions_consed(lts: &Lts<'_>, p: &Consed, pool: &[Name]) -> Arc<Vec<(Action, P)>> {
+    let key = (p.clone(), lts.defs.generation(), pool.to_vec());
     if let Some(v) = INPUT_MEMO.read().get(&key) {
         INPUT_HITS.inc();
         return v.clone();
     }
     INPUT_MISSES.inc();
-    let v = Arc::new(lts.input_transitions(p, pool));
+    let v = Arc::new(lts.input_transitions(p.term(), pool));
     insert_capped(&INPUT_MEMO, key, v.clone());
     v
 }
 
-/// [`crate::explore::normalize_state`] memoized per (term, protected
-/// set); `protected = None` memoizes the plain `canon ∘ prune`
-/// normalisation used when extruded-name folding is off.
+/// Interns `p` as an explored state: [`bpi_core::prune`], then — when
+/// `protected` is set — extruded-name folding of every free name outside
+/// it, then [`bpi_core::canon`], then exactly one [`bpi_core::cons`].
+/// Two successors get the same cell iff they normalise to the same
+/// state. Store [`Consed::term`] (the cell's own allocation) as the
+/// state: re-consing it, as every memo probe does, is a pointer hit.
 ///
-/// Because [`step_transitions_cached`] replays the same successor
-/// allocations on every revisit, the consing pointer probe makes repeat
-/// normalisations of a successor O(1).
-pub fn normalize_state_cached(p: &P, protected: Option<&NameSet>) -> P {
+/// The extruded-name arm ([`crate::explore::normalize_state`]) is
+/// memoized per (term, protected set). The plain arm is not: probing a
+/// memo would cons the raw successor, a tree walk as long as the one it
+/// would save.
+pub fn intern_state(p: &P, protected: Option<&NameSet>) -> Consed {
     crate::chaos::delay("semantics.cache.norm");
-    let key = (bpi_core::cons(p), protected.cloned());
-    if let Some(v) = NORM_MEMO.read().get(&key) {
+    let Some(prot) = protected else {
+        return bpi_core::cons(&bpi_core::canon(&bpi_core::prune(p)));
+    };
+    let key = (bpi_core::cons(p), prot.clone());
+    if let Some(c) = NORM_MEMO.read().get(&key) {
         NORM_HITS.inc();
-        return v.clone();
+        return c.clone();
     }
     NORM_MISSES.inc();
-    let v = match protected {
-        Some(prot) => crate::explore::normalize_state(p, prot),
-        None => bpi_core::cached_canon(&bpi_core::prune(p)),
-    };
-    insert_capped(&NORM_MEMO, key, v.clone());
-    v
+    let c = bpi_core::cons(&crate::explore::normalize_state(p, prot));
+    insert_capped(&NORM_MEMO, key, c.clone());
+    c
 }
 
 #[cfg(test)]
@@ -176,22 +189,26 @@ mod tests {
     }
 
     #[test]
-    fn normalize_memo_agrees_with_direct() {
-        let [a, b] = names(["a", "b"]);
-        let p = par(out_(a, [b]), nil());
+    fn interned_states_agree_with_direct_normalisation() {
+        let [a, b, x] = names(["a", "b", "x"]);
+        let p = par(out_(a, [b]), par(nil(), new(x, inp_(x, [b]))));
         let prot = NameSet::from_iter([a]);
         assert_eq!(
-            normalize_state_cached(&p, Some(&prot)),
+            *intern_state(&p, Some(&prot)).term(),
             crate::explore::normalize_state(&p, &prot)
         );
-        assert_eq!(
-            normalize_state_cached(&p, None),
-            bpi_core::canon(&bpi_core::prune(&p))
-        );
+        let plain = intern_state(&p, None);
+        assert_eq!(*plain.term(), bpi_core::canon(&bpi_core::prune(&p)));
+        // The state is the cell's own allocation: interning it again is
+        // the identical cell.
+        assert!(Arc::ptr_eq(
+            intern_state(plain.term(), None).term(),
+            plain.term()
+        ));
         // Distinct protected sets must not collide.
         let prot2 = NameSet::from_iter([a, b]);
         assert_eq!(
-            normalize_state_cached(&p, Some(&prot2)),
+            *intern_state(&p, Some(&prot2)).term(),
             crate::explore::normalize_state(&p, &prot2)
         );
     }

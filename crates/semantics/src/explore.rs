@@ -21,6 +21,7 @@ use bpi_core::canon::canon;
 use bpi_core::name::{Name, NameSet};
 use bpi_core::subst::Subst;
 use bpi_core::syntax::{Defs, Prefix, Process, P};
+use bpi_core::Consed;
 use bpi_obs::{counter, Counter, Det, Value};
 use std::collections::HashMap;
 use std::sync::LazyLock;
@@ -292,21 +293,21 @@ pub fn explore_budgeted(p: &P, defs: &Defs, opts: ExploreOpts, budget: &Budget) 
     let lts = Lts::new(defs);
     let protected = p.free_names();
     let prot = opts.normalize_extruded.then_some(&protected);
-    let norm = |q: &P| crate::cache::normalize_state_cached(q, prot);
+    let intern = |q: &P| crate::cache::intern_state(q, prot);
     let cap = opts.max_states.min(budget.max_states());
-    // Keys are hash-consed term ids of the normalised states: hashing and
-    // equality become O(1) id comparisons instead of tree walks, and
-    // revisited successors hit the interner's pointer fast path. (The
+    // Keys are the interned states' cells: hashing and equality are O(1)
+    // id comparisons instead of tree walks. Each state is its cell's own
+    // allocation, so the step memo's probe on it is a pointer hit. (The
     // cell's interior OnceLocks never feed Hash/Eq, so the key is stable.)
     #[allow(clippy::mutable_key_type)]
-    let mut index: HashMap<bpi_core::Consed, usize> = HashMap::new();
+    let mut index: HashMap<Consed, usize> = HashMap::new();
     let mut states = Vec::new();
     let mut edges: Vec<Vec<(Action, usize)>> = Vec::new();
     let mut interrupted: Option<EngineError> = None;
 
-    let p0 = norm(p);
-    index.insert(bpi_core::cons(&p0), 0);
-    states.push(p0);
+    let p0 = intern(p);
+    states.push(p0.term().clone());
+    index.insert(p0, 0);
     edges.push(Vec::new());
     let mut frontier = vec![0usize];
 
@@ -318,9 +319,8 @@ pub fn explore_budgeted(p: &P, defs: &Defs, opts: ExploreOpts, budget: &Budget) 
         let src = states[i].clone();
         let mut out = Vec::new();
         for (act, succ) in crate::cache::step_transitions_cached(&lts, &src).iter() {
-            let state = norm(succ);
-            let key = bpi_core::cons(&state);
-            let j = match index.get(&key) {
+            let state = intern(succ);
+            let j = match index.get(&state) {
                 Some(&j) => j,
                 None => {
                     if states.len() >= cap {
@@ -328,8 +328,8 @@ pub fn explore_budgeted(p: &P, defs: &Defs, opts: ExploreOpts, budget: &Budget) 
                         continue;
                     }
                     let j = states.len();
-                    index.insert(key, j);
-                    states.push(state);
+                    states.push(state.term().clone());
+                    index.insert(state, j);
                     edges.push(Vec::new());
                     frontier.push(j);
                     j
@@ -375,9 +375,9 @@ pub fn explore_with_checkpoint(
     let protected = free_names_in_order(p);
     let prot_set: NameSet = NameSet::from_iter(protected.iter().copied());
     let prot = opts.normalize_extruded.then_some(&prot_set);
-    let p0 = crate::cache::normalize_state_cached(p, prot);
+    let p0 = crate::cache::intern_state(p, prot);
     let ckpt = ExploreCheckpoint {
-        states: vec![p0],
+        states: vec![p0.term().clone()],
         edges: vec![Vec::new()],
         frontier: vec![0],
         protected,
@@ -430,10 +430,10 @@ fn explore_loop(
     } = ckpt;
     let prot_set: NameSet = NameSet::from_iter(protected.iter().copied());
     let prot = normalize_extruded.then_some(&prot_set);
-    let norm = |q: &P| crate::cache::normalize_state_cached(q, prot);
+    let intern = |q: &P| crate::cache::intern_state(q, prot);
     let cap = opts.max_states.min(budget.max_states());
     #[allow(clippy::mutable_key_type)]
-    let mut index: HashMap<bpi_core::Consed, usize> = states
+    let mut index: HashMap<Consed, usize> = states
         .iter()
         .enumerate()
         .map(|(i, s)| (bpi_core::cons(s), i))
@@ -474,19 +474,18 @@ fn explore_loop(
         let src = states[i].clone();
         let succs = crate::cache::step_transitions_cached(&lts, &src);
         let mut out: Vec<(Action, usize)> = Vec::new();
-        let mut fresh: Vec<P> = Vec::new();
+        let mut fresh: Vec<Consed> = Vec::new();
         #[allow(clippy::mutable_key_type)]
-        let mut fresh_index: HashMap<bpi_core::Consed, usize> = HashMap::new();
+        let mut fresh_index: HashMap<Consed, usize> = HashMap::new();
         for (act, succ) in succs.iter() {
-            let state = norm(succ);
-            let key = bpi_core::cons(&state);
-            let j = match index.get(&key) {
+            let state = intern(succ);
+            let j = match index.get(&state) {
                 Some(&j) => j,
-                None => match fresh_index.get(&key) {
+                None => match fresh_index.get(&state) {
                     Some(&j) => j,
                     None => {
                         let j = states.len() + fresh.len();
-                        fresh_index.insert(key, j);
+                        fresh_index.insert(state.clone(), j);
                         fresh.push(state);
                         j
                     }
@@ -504,8 +503,8 @@ fn explore_loop(
         frontier.pop();
         for state in fresh {
             let j = states.len();
-            index.insert(bpi_core::cons(&state), j);
-            states.push(state);
+            states.push(state.term().clone());
+            index.insert(state, j);
             edges.push(Vec::new());
             frontier.push(j);
         }
@@ -568,13 +567,13 @@ pub fn output_reachable_budgeted(
     let lts = Lts::new(defs);
     let protected = p.free_names();
     let prot = opts.normalize_extruded.then_some(&protected);
-    let norm = |q: &P| crate::cache::normalize_state_cached(q, prot);
+    let intern = |q: &P| crate::cache::intern_state(q, prot);
     let cap = opts.max_states.min(budget.max_states());
     // Consed hashes by class id; its interior OnceLocks never feed Hash/Eq.
     #[allow(clippy::mutable_key_type)]
-    let mut seen: std::collections::HashSet<bpi_core::Consed> = std::collections::HashSet::new();
-    let mut work = vec![norm(p)];
-    seen.insert(bpi_core::cons(&work[0]));
+    let mut seen: std::collections::HashSet<Consed> = std::collections::HashSet::new();
+    let mut work = vec![intern(p)];
+    seen.insert(work[0].clone());
     let mut interrupted: Option<EngineError> = None;
     while let Some(q) = work.pop() {
         if let Err(e) = budget.check(0) {
@@ -584,18 +583,17 @@ pub fn output_reachable_budgeted(
             interrupted = Some(e);
             break;
         }
-        for (act, succ) in crate::cache::step_transitions_cached(&lts, &q).iter() {
+        for (act, succ) in crate::cache::step_transitions_consed(&lts, &q).iter() {
             if act.is_output() && act.subject() == Some(a) {
                 return Ok(true);
             }
-            let state = norm(succ);
-            let key = bpi_core::cons(&state);
-            if !seen.contains(&key) {
+            let state = intern(succ);
+            if !seen.contains(&state) {
                 if seen.len() >= cap {
                     interrupted.get_or_insert(EngineError::StateBudgetExceeded { limit: cap });
                     continue;
                 }
-                seen.insert(key);
+                seen.insert(state.clone());
                 work.push(state);
             }
         }
@@ -635,20 +633,20 @@ pub fn explore_parallel_budgeted(
     let _span = bpi_obs::span("semantics.explore", "parallel");
     let protected = p.free_names();
     let prot = opts.normalize_extruded.then_some(&protected);
-    let norm = move |q: &P| crate::cache::normalize_state_cached(q, prot);
+    let intern = move |q: &P| crate::cache::intern_state(q, prot);
     let cap = opts.max_states.min(budget.max_states());
 
     let outcome = crate::frontier::expand_frontier(
-        norm(p),
+        intern(p),
         cap,
         budget,
         threads,
         /* stop_on_cap */ false,
         |src| {
             let lts = Lts::new(defs);
-            let succs = crate::cache::step_transitions_cached(&lts, src)
+            let succs = crate::cache::step_transitions_consed(&lts, src)
                 .iter()
-                .map(|(act, succ)| (act.clone(), norm(succ)))
+                .map(|(act, succ)| (act.clone(), intern(succ)))
                 .collect();
             crate::frontier::Expansion { succs, meta: () }
         },

@@ -2,11 +2,12 @@
 //!
 //! Both reachable-graph builders in the workspace — step-move exploration
 //! ([`crate::explore`]) and the pool-instantiated bisimulation graphs of
-//! `bpi-equiv` — are the same algorithm: expand a frontier of normalised
-//! states, dedup successors through a visited table, record per-state
-//! edge lists. This module factors that machinery out once, generically
-//! over the edge label and any per-state metadata, so a caller plugs in
-//! only its *expansion function* (state → labelled successors + meta).
+//! `bpi-equiv` — are the same algorithm: expand a frontier of interned
+//! states ([`crate::cache::intern_state`]), dedup successors through a
+//! visited table keyed by their cells, record per-state edge lists. This
+//! module factors that machinery out once, generically over the edge
+//! label and any per-state metadata, so a caller plugs in only its
+//! *expansion function* (state → labelled successors + meta).
 //!
 //! **Determinism.** Worker scheduling makes state *numbering* racy, but
 //! nothing else: the expansion function is pure, so each state's edge
@@ -25,16 +26,17 @@
 
 use crate::budget::{Budget, EngineError};
 use bpi_core::syntax::P;
+use bpi_core::Consed;
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 
-/// What expanding one state yields: labelled, **already normalised**
+/// What expanding one state yields: labelled, **already interned**
 /// successor states plus caller-defined per-state metadata (e.g. the
 /// discard set of a bisimulation-graph state).
 pub struct Expansion<L, M> {
     /// `(label, successor)` pairs in derivation order.
-    pub succs: Vec<(L, P)>,
+    pub succs: Vec<(L, Consed)>,
     /// Per-state payload stored alongside the edge list.
     pub meta: M,
 }
@@ -43,7 +45,8 @@ pub struct Expansion<L, M> {
 /// unless post-processed with [`renumber_bfs`]; everything else is a pure
 /// function of the seed and the expansion function.
 pub struct FrontierOutcome<L, M> {
-    /// Discovered states; index 0 is the seed.
+    /// Discovered states, each its cell's own allocation; index 0 is the
+    /// seed.
     pub states: Vec<P>,
     /// `edges[i]` — the expansion of state `i`, targets resolved to
     /// indices.
@@ -57,8 +60,8 @@ pub struct FrontierOutcome<L, M> {
 /// Shared worker state. Exposed `pub(crate)` so the explore fault tests
 /// can drive the guard machinery directly.
 pub(crate) struct ParShared<L, M> {
-    pub(crate) index: Mutex<HashMap<bpi_core::Consed, usize>>,
-    pub(crate) states: Mutex<Vec<P>>,
+    pub(crate) index: Mutex<HashMap<Consed, usize>>,
+    pub(crate) states: Mutex<Vec<Consed>>,
     pub(crate) edges: Mutex<Vec<Vec<(L, usize)>>>,
     pub(crate) metas: Mutex<Vec<M>>,
     pub(crate) queue: Mutex<Vec<usize>>,
@@ -103,14 +106,14 @@ impl<'a, L, M> Drop for ActiveGuard<'a, L, M> {
     }
 }
 
-/// Expands the frontier of `seed` (already normalised) with `threads`
+/// Expands the frontier of `seed` (already interned) with `threads`
 /// crossbeam workers sharing a visited table and work queue; `threads <=
 /// 1` runs a plain sequential loop with identical semantics. `expand` is
 /// called exactly once per discovered state and must be pure. The state
 /// ceiling is `cap`; the budget's deadline/cancellation are polled once
 /// per expanded state.
 pub fn expand_frontier<L, M, F>(
-    seed: P,
+    seed: Consed,
     cap: usize,
     budget: &Budget,
     threads: usize,
@@ -120,13 +123,13 @@ pub fn expand_frontier<L, M, F>(
 where
     L: Send,
     M: Send + Default,
-    F: Fn(&P) -> Expansion<L, M> + Sync,
+    F: Fn(&Consed) -> Expansion<L, M> + Sync,
 {
     if threads <= 1 {
         return expand_sequential(seed, cap, budget, stop_on_cap, expand);
     }
     let shared = ParShared {
-        index: Mutex::new(HashMap::from([(bpi_core::cons(&seed), 0usize)])),
+        index: Mutex::new(HashMap::from([(seed.clone(), 0usize)])),
         states: Mutex::new(vec![seed]),
         edges: Mutex::new(vec![Vec::new()]),
         metas: Mutex::new(vec![M::default()]),
@@ -179,10 +182,9 @@ where
                     let exp = expand(&src);
                     let mut out = Vec::with_capacity(exp.succs.len());
                     for (label, state) in exp.succs {
-                        let key = bpi_core::cons(&state);
                         let j = {
                             let mut index = shared.index.lock();
-                            match index.get(&key) {
+                            match index.get(&state) {
                                 Some(&j) => Some(j),
                                 None => {
                                     let mut states = shared.states.lock();
@@ -196,7 +198,7 @@ where
                                         None
                                     } else {
                                         let j = states.len();
-                                        index.insert(key, j);
+                                        index.insert(state.clone(), j);
                                         states.push(state);
                                         shared.edges.lock().push(Vec::new());
                                         shared.metas.lock().push(M::default());
@@ -228,15 +230,21 @@ where
 
     let interrupted = shared.interrupted.into_inner();
     FrontierOutcome {
-        states: shared.states.into_inner(),
+        states: cell_terms(&shared.states.into_inner()),
         edges: shared.edges.into_inner(),
         metas: shared.metas.into_inner(),
         interrupted,
     }
 }
 
+/// Interned states as their cells' own allocations, the form in which
+/// graphs store them.
+pub fn cell_terms(states: &[Consed]) -> Vec<P> {
+    states.iter().map(|c| c.term().clone()).collect()
+}
+
 fn expand_sequential<L, M, F>(
-    seed: P,
+    seed: Consed,
     cap: usize,
     budget: &Budget,
     stop_on_cap: bool,
@@ -244,13 +252,13 @@ fn expand_sequential<L, M, F>(
 ) -> FrontierOutcome<L, M>
 where
     M: Default,
-    F: Fn(&P) -> Expansion<L, M>,
+    F: Fn(&Consed) -> Expansion<L, M>,
 {
     // Consed keys make the visited probe an O(1) id comparison; the
     // cell's interior OnceLocks never feed Hash/Eq.
     #[allow(clippy::mutable_key_type)]
-    let mut index: HashMap<bpi_core::Consed, usize> = HashMap::new();
-    index.insert(bpi_core::cons(&seed), 0);
+    let mut index: HashMap<Consed, usize> = HashMap::new();
+    index.insert(seed.clone(), 0);
     let mut states = vec![seed];
     let mut edges: Vec<Vec<(L, usize)>> = vec![Vec::new()];
     let mut metas: Vec<M> = vec![M::default()];
@@ -266,8 +274,7 @@ where
         let exp = expand(&src);
         let mut out = Vec::with_capacity(exp.succs.len());
         for (label, state) in exp.succs {
-            let key = bpi_core::cons(&state);
-            let j = match index.get(&key) {
+            let j = match index.get(&state) {
                 Some(&j) => j,
                 None => {
                     if states.len() >= cap {
@@ -280,7 +287,7 @@ where
                         continue;
                     }
                     let j = states.len();
-                    index.insert(key, j);
+                    index.insert(state.clone(), j);
                     states.push(state);
                     edges.push(Vec::new());
                     metas.push(M::default());
@@ -294,7 +301,7 @@ where
         metas[i] = exp.meta;
     }
     FrontierOutcome {
-        states,
+        states: cell_terms(&states),
         edges,
         metas,
         interrupted,

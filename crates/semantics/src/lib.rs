@@ -61,7 +61,9 @@ pub mod weak;
 
 pub use analysis::{analyse, reliability, Analysis, Verdict};
 pub use budget::{retry_with_backoff, retry_with_checkpoint, Budget, EngineError};
-pub use cache::{input_transitions_cached, normalize_state_cached, step_transitions_cached};
+pub use cache::{
+    input_transitions_consed, intern_state, step_transitions_cached, step_transitions_consed,
+};
 pub use chaos::{ChaosEvent, ChaosLog, ChaosPlan};
 pub use checkpoint::{CheckpointCfg, CheckpointSlot, ExploreCheckpoint, Interrupted};
 pub use discard::{discards, input_arities, listening};
@@ -74,7 +76,7 @@ pub use faults::{
     deafen, lossy_traces, noise, Backoff, FaultError, FaultEvent, FaultLog, FaultPlan,
     FaultySimulator,
 };
-pub use frontier::{expand_frontier, renumber_bfs, Expansion, FrontierOutcome};
+pub use frontier::{cell_terms, expand_frontier, renumber_bfs, Expansion, FrontierOutcome};
 pub use lts::{par_components, tuples, Lts};
 pub use prob::{
     convergence_exact, convergence_mc, convergence_mc_resume, sample_seed, step_distribution,

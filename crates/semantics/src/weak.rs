@@ -21,7 +21,7 @@
 //! bisimulation refinement) stop re-running per-state searches.
 
 use crate::budget::{Budget, EngineError};
-use crate::cache::step_transitions_cached;
+use crate::cache::{step_transitions_cached, step_transitions_consed};
 use crate::lts::Lts;
 use bpi_core::action::Action;
 use bpi_core::name::{Name, NameSet};
@@ -134,7 +134,8 @@ impl<'d> Weak<'d> {
         // Chaos delay site: the saturation memo is probed concurrently by
         // refinement workers; a stall here must not change any closure.
         crate::chaos::delay("semantics.weak.saturation");
-        let key = (cons(p), self.lts.defs.generation(), kind);
+        let root = cons(p);
+        let key = (root.clone(), self.lts.defs.generation(), kind);
         if let Some(sat) = SATURATIONS.read().get(&key) {
             HITS.inc();
             self.budget.check(sat.states.len())?;
@@ -145,18 +146,23 @@ impl<'d> Weak<'d> {
             MoveKind::Tau => matches!(act, Action::Tau),
             MoveKind::Step => act.is_step_move(),
         };
+        // The work list holds each reached state consed once: its canon
+        // and its step derivations then cost no further interner probes.
         let mut seen: HashSet<P> = HashSet::new();
         let mut out = Vec::new();
-        let mut work = vec![p.clone()];
-        seen.insert(cached_canon(p));
+        seen.insert(root.canon().clone());
+        let mut work = vec![root];
         while let Some(q) = work.pop() {
             self.budget.check(seen.len())?;
-            for (act, q2) in step_transitions_cached(&self.lts, &q).iter() {
-                if keep(act) && seen.insert(cached_canon(q2)) {
-                    work.push(q2.clone());
+            for (act, q2) in step_transitions_consed(&self.lts, &q).iter() {
+                if keep(act) {
+                    let q2 = cons(q2);
+                    if seen.insert(q2.canon().clone()) {
+                        work.push(q2);
+                    }
                 }
             }
-            out.push(q);
+            out.push(q.term().clone());
         }
         let barbs = out.iter().map(|q| self.strong_barbs(q)).collect();
         bpi_obs::histogram("semantics.weak.saturation.states").record(out.len() as u64);
@@ -241,17 +247,21 @@ impl<'d> Weak<'d> {
         // Early-exit search rather than materialising the closure — a
         // reachable barb must stay findable under budgets too small for
         // the full saturation.
+        let root = cons(p);
         let mut seen: HashSet<P> = HashSet::new();
-        let mut work = vec![p.clone()];
-        seen.insert(cached_canon(p));
+        seen.insert(root.canon().clone());
+        let mut work = vec![root];
         while let Some(q) = work.pop() {
             self.budget.check(seen.len())?;
-            for (act, q2) in step_transitions_cached(&self.lts, &q).iter() {
+            for (act, q2) in step_transitions_consed(&self.lts, &q).iter() {
                 if act.is_output() && act.subject() == Some(a) {
                     return Ok(true);
                 }
-                if matches!(act, Action::Tau) && seen.insert(cached_canon(q2)) {
-                    work.push(q2.clone());
+                if matches!(act, Action::Tau) {
+                    let q2 = cons(q2);
+                    if seen.insert(q2.canon().clone()) {
+                        work.push(q2);
+                    }
                 }
             }
         }

@@ -69,7 +69,13 @@ impl Client {
         self.roundtrip(&Json::obj(req))
     }
 
-    pub fn explore(&mut self, id: &str, session: &str, src: &str, max_states: usize) -> std::io::Result<Json> {
+    pub fn explore(
+        &mut self,
+        id: &str,
+        session: &str,
+        src: &str,
+        max_states: usize,
+    ) -> std::io::Result<Json> {
         self.roundtrip(&Json::obj(vec![
             ("op", Json::str("explore")),
             ("id", Json::str(id)),

@@ -3,8 +3,7 @@
 //! Concurrent tenants name a `session`; each session owns a definition
 //! environment and a parse cache, so repeated jobs against the same
 //! terms skip the parser and — because `Defs` generations key the
-//! semantic caches — share warm transition/normalisation caches
-//! process-wide. The hash-consing interner underneath is global, so two
+//! semantic caches — share warm transition caches process-wide. The hash-consing interner underneath is global, so two
 //! sessions submitting the same term still share one tree.
 //!
 //! Sessions are soft state: the journal records every `defs` update, so

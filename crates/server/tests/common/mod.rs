@@ -96,19 +96,36 @@ impl Drop for Daemon {
 
 #[derive(Clone, Debug)]
 pub enum JobSpec {
-    Check { variant: &'static str, left: &'static str, right: &'static str },
-    Reliability { src: &'static str, watch: &'static str, loss: f64, seed: u64 },
-    Explore { src: &'static str, max_states: usize },
+    Check {
+        variant: &'static str,
+        left: &'static str,
+        right: &'static str,
+    },
+    Reliability {
+        src: &'static str,
+        watch: &'static str,
+        loss: f64,
+        seed: u64,
+    },
+    Explore {
+        src: &'static str,
+        max_states: usize,
+    },
 }
 
 pub fn submit(c: &mut Client, id: &str, spec: &JobSpec) -> std::io::Result<Json> {
     match spec {
-        JobSpec::Check { variant, left, right } => {
-            c.check(id, "s", variant, left, right, "normal", None)
-        }
-        JobSpec::Reliability { src, watch, loss, seed } => {
-            c.reliability(id, "s", src, watch, *loss, *seed, 20, 512)
-        }
+        JobSpec::Check {
+            variant,
+            left,
+            right,
+        } => c.check(id, "s", variant, left, right, "normal", None),
+        JobSpec::Reliability {
+            src,
+            watch,
+            loss,
+            seed,
+        } => c.reliability(id, "s", src, watch, *loss, *seed, 20, 512),
         JobSpec::Explore { src, max_states } => c.explore(id, "s", src, *max_states),
     }
 }
@@ -119,7 +136,9 @@ pub fn is_settled(r: &Json) -> bool {
 }
 
 pub fn count_done(addr: SocketAddr, ids: &[String]) -> usize {
-    let Ok(mut c) = Client::connect(addr) else { return 0 };
+    let Ok(mut c) = Client::connect(addr) else {
+        return 0;
+    };
     ids.iter()
         .filter(|id| matches!(c.result_of(id), Ok(r) if is_settled(&r)))
         .count()
@@ -192,9 +211,9 @@ pub fn submit_all_visible(
         let mut c = Client::connect(addr).expect("poll connect");
         let visible = ids
             .iter()
-            .filter(|id| {
-                matches!(c.result_of(id), Ok(r) if r.str_field("error") != Some("unknown-id"))
-            })
+            .filter(
+                |id| matches!(c.result_of(id), Ok(r) if r.str_field("error") != Some("unknown-id")),
+            )
             .count();
         if visible == ids.len() {
             break;

@@ -45,14 +45,30 @@ fn protocol_roundtrip_check_explore_reliability() {
 
     // An equivalence that holds (weak: τ prefix is invisible)...
     let r = c
-        .check("c-holds", "s1", "weak-labelled", "tau.a<>", "a<>", "normal", None)
+        .check(
+            "c-holds",
+            "s1",
+            "weak-labelled",
+            "tau.a<>",
+            "a<>",
+            "normal",
+            None,
+        )
         .unwrap();
     assert_eq!(r.str_field("status"), Some("ok"), "{r}");
     assert_eq!(r.get("holds").unwrap().as_bool(), Some(true));
 
     // ...one that fails, with a distinguishing explanation...
     let r = c
-        .check("c-fails", "s1", "strong-labelled", "a<>.b<>", "a<>.c<>", "normal", None)
+        .check(
+            "c-fails",
+            "s1",
+            "strong-labelled",
+            "a<>.b<>",
+            "a<>.c<>",
+            "normal",
+            None,
+        )
         .unwrap();
     assert_eq!(r.get("holds").unwrap().as_bool(), Some(false));
     assert!(r.str_field("explanation").is_some());
@@ -98,11 +114,27 @@ fn protocol_roundtrip_check_explore_reliability() {
         .unwrap();
     assert_eq!(r.str_field("status"), Some("error"));
     let r = c
-        .check("no/slashes", "s1", "weak-step", "a<>", "a<>", "normal", None)
+        .check(
+            "no/slashes",
+            "s1",
+            "weak-step",
+            "a<>",
+            "a<>",
+            "normal",
+            None,
+        )
         .unwrap();
     assert_eq!(r.str_field("error"), Some("bad-request"));
     let r = c
-        .check("c-holds", "s1", "weak-labelled", "tau.a<>", "a<>", "normal", None)
+        .check(
+            "c-holds",
+            "s1",
+            "weak-labelled",
+            "tau.a<>",
+            "a<>",
+            "normal",
+            None,
+        )
         .unwrap();
     assert_eq!(r.str_field("status"), Some("rejected"), "{r}");
     assert_eq!(r.str_field("reason"), Some("duplicate-id"));
@@ -113,7 +145,15 @@ fn protocol_roundtrip_check_explore_reliability() {
 
     // Parse errors come back typed, not as daemon failures.
     let r = c
-        .check("c-parse", "s1", "weak-step", "a<v> |", "a<>", "normal", None)
+        .check(
+            "c-parse",
+            "s1",
+            "weak-step",
+            "a<v> |",
+            "a<>",
+            "normal",
+            None,
+        )
         .unwrap();
     assert_eq!(r.str_field("error"), Some("parse"));
 
@@ -126,10 +166,19 @@ fn protocol_roundtrip_check_explore_reliability() {
     assert!(counters.get("server.completed").is_some());
     // fuel=8 on multi-state graphs: preemption must actually happen.
     assert!(
-        counters.get("server.preempted").unwrap().as_usize().unwrap() > 0,
+        counters
+            .get("server.preempted")
+            .unwrap()
+            .as_usize()
+            .unwrap()
+            > 0,
         "tiny fuel must park at least one job: {s}"
     );
-    assert!(s.get("histograms").unwrap().get("server.latency_ms").is_some());
+    assert!(s
+        .get("histograms")
+        .unwrap()
+        .get("server.latency_ms")
+        .is_some());
 
     h.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
@@ -141,7 +190,15 @@ fn deadline_zero_is_a_typed_deadline_error() {
     let h = server::start(small_cfg(&dir)).unwrap();
     let mut c = Client::connect(h.addr).unwrap();
     let r = c
-        .check("d-0", "", "strong-labelled", "a<>.b<>", "a<>.b<>", "normal", Some(0))
+        .check(
+            "d-0",
+            "",
+            "strong-labelled",
+            "a<>.b<>",
+            "a<>.b<>",
+            "normal",
+            Some(0),
+        )
         .unwrap();
     assert_eq!(r.str_field("status"), Some("error"), "{r}");
     assert_eq!(r.str_field("error"), Some("deadline"));
@@ -198,7 +255,10 @@ fn overload_rejects_typed_and_bounded_never_hangs() {
         }
     }
     assert!(ok > 0, "some jobs must get through");
-    assert!(rejected > 0, "an overloaded daemon must shed typed rejections");
+    assert!(
+        rejected > 0,
+        "an overloaded daemon must shed typed rejections"
+    );
 
     // The daemon is still healthy and the queue is bounded.
     let mut c = Client::connect(addr).unwrap();
@@ -214,7 +274,15 @@ fn overload_rejects_typed_and_bounded_never_hangs() {
             > 0
     );
     let r = c
-        .check("after-storm", "", "weak-labelled", "tau.a<>", "a<>", "normal", None)
+        .check(
+            "after-storm",
+            "",
+            "weak-labelled",
+            "tau.a<>",
+            "a<>",
+            "normal",
+            None,
+        )
         .unwrap();
     assert_eq!(r.get("holds").unwrap().as_bool(), Some(true));
     h.shutdown();
@@ -250,7 +318,15 @@ fn preemption_lets_short_jobs_overtake_long_ones() {
     let mut c = Client::connect(addr).unwrap();
     let t0 = std::time::Instant::now();
     let r = c
-        .check("short-1", "", "strong-labelled", "a<>", "a<>", "normal", None)
+        .check(
+            "short-1",
+            "",
+            "strong-labelled",
+            "a<>",
+            "a<>",
+            "normal",
+            None,
+        )
         .unwrap();
     assert_eq!(r.get("holds").unwrap().as_bool(), Some(true));
     let short_latency = t0.elapsed();

@@ -40,9 +40,25 @@ fn main() -> std::io::Result<()> {
 
     // A weak equivalence (τ is invisible), a failing strong one (the
     // explanation is a distinguishing formula), and a recursive system.
-    let r = c.check("eq-tau", "demo", "weak-labelled", "tau.a<>", "a<>", "normal", None)?;
+    let r = c.check(
+        "eq-tau",
+        "demo",
+        "weak-labelled",
+        "tau.a<>",
+        "a<>",
+        "normal",
+        None,
+    )?;
     println!("check holds  -> {r}");
-    let r = c.check("eq-no", "demo", "strong-labelled", "a<>.b<>", "a<>.c<>", "normal", None)?;
+    let r = c.check(
+        "eq-no",
+        "demo",
+        "strong-labelled",
+        "a<>.b<>",
+        "a<>.c<>",
+        "normal",
+        None,
+    )?;
     println!("check fails  -> {r}");
     let r = c.check(
         "eq-fwd",
@@ -67,7 +83,9 @@ fn main() -> std::io::Result<()> {
     println!(
         "stats        -> queue_depth={} admitted={}",
         s.get("queue_depth").unwrap(),
-        s.get("counters").and_then(|cs| cs.get("server.admitted")).unwrap()
+        s.get("counters")
+            .and_then(|cs| cs.get("server.admitted"))
+            .unwrap()
     );
 
     let before = c.result_of("eq-fwd")?.to_string();
@@ -84,7 +102,10 @@ fn main() -> std::io::Result<()> {
     let mut c = Client::connect(h.addr)?;
     let after = c.result_of("eq-fwd")?.to_string();
     println!("recovered    -> {after}");
-    assert_eq!(before, after, "recovery must re-serve verdicts bit-identically");
+    assert_eq!(
+        before, after,
+        "recovery must re-serve verdicts bit-identically"
+    );
     println!("restart re-served the verdict byte-identically");
 
     h.shutdown();
