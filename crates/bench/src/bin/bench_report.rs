@@ -17,13 +17,6 @@
 //!   (budgeted refinement with an inert checkpoint config vs snapshots
 //!   every 8 rounds, and cold pipeline restart vs resume from a
 //!   checkpoint taken at 50% of the pipeline's units);
-//! * **thread_series** — PR 3's scaling sweep: the τ-ladder refinement,
-//!   the 3^N exploration and the wide-parallel-composition build, each
-//!   at 1/2/4/8 worker threads. Cold-construction series use tagged
-//!   (structurally fresh) terms per sample so the successor memos cannot
-//!   serve the work the threads are supposed to do. `host_cpus` records
-//!   the machine's actual parallelism — on a single-core host the series
-//!   measures the overhead floor of the parallel paths, not speedup;
 //! * **reliability** — PR 6's B13 curves: the Monte-Carlo convergence
 //!   probability of the cycle-detection ring (signal on `o`) and the
 //!   leader election (a follower appears, the loss-sensitive barb) at
@@ -32,7 +25,7 @@
 //!   across PRs like every other recorded number;
 //! * **metrics** (with `--metrics`) — the deterministic counter set of a
 //!   pinned build+refine workload, measured from a reset registry. These
-//!   values are bit-identical across engines and thread counts (the
+//!   values are bit-identical across engines (the
 //!   `metrics_oracle` suite pins that), so they can be diffed across
 //!   PRs like any other recorded number;
 //! * **BENCH_9.json** — PR 9's B16 Glomers ladder: every Maelstrom
@@ -70,21 +63,17 @@
 
 use bpi_bench::{
     deep_term, identical_stations_tagged, independent_components_tagged, scaled_pair,
-    shared_components_tagged, tau_chain, wide_par_tagged,
+    shared_components_tagged, tau_chain,
 };
 use bpi_core::syntax::Defs;
 use bpi_equiv::{
-    build_composed, refine, refine_budgeted, refine_parallel, refine_partition, refine_worklist,
-    shared_pool, Checker, Checkpoint, Graph, Opts, RefineCheckpoint, Variant,
+    build_composed, refine, refine_budgeted, refine_partition, refine_worklist, shared_pool,
+    Checker, Checkpoint, Graph, Opts, RefineCheckpoint, Variant,
 };
-use bpi_semantics::{
-    explore, explore_parallel, Budget, CheckpointCfg, CheckpointSlot, ExploreOpts, FaultPlan,
-};
+use bpi_semantics::{explore, Budget, CheckpointCfg, CheckpointSlot, ExploreOpts, FaultPlan};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
-
-const THREADS: [usize; 4] = [1, 2, 4, 8];
 
 struct Entry {
     id: &'static str,
@@ -99,24 +88,6 @@ impl Entry {
             self.baseline_us / self.optimized_us
         } else {
             f64::INFINITY
-        }
-    }
-}
-
-struct Series {
-    id: &'static str,
-    /// `(threads, median_us)` per sweep point.
-    points: Vec<(usize, f64)>,
-    note: &'static str,
-}
-
-impl Series {
-    fn speedup_at(&self, threads: usize) -> f64 {
-        let base = self.points.iter().find(|(t, _)| *t == 1);
-        let here = self.points.iter().find(|(t, _)| *t == threads);
-        match (base, here) {
-            (Some((_, b)), Some((_, h))) if *h > 0.0 => b / h,
-            _ => f64::NAN,
         }
     }
 }
@@ -301,22 +272,17 @@ fn measure_entries(s: &Sizes, tag: &str) -> Vec<Entry> {
     for _ in 0..s.reps.max(1) {
         let t = Instant::now();
         assert!(
-            refine_budgeted(Variant::StrongLabelled, &lg1, &lg2, 1, &unlimited, &inert)
+            refine_budgeted(Variant::StrongLabelled, &lg1, &lg2, &unlimited, &inert)
                 .expect("unlimited budget cannot interrupt")
                 .holds(0, 0)
         );
         inert_samples.push(t.elapsed().as_secs_f64() * 1e6);
         let t = Instant::now();
-        assert!(refine_budgeted(
-            Variant::StrongLabelled,
-            &lg1,
-            &lg2,
-            1,
-            &unlimited,
-            &periodic8
-        )
-        .expect("unlimited budget cannot interrupt")
-        .holds(0, 0));
+        assert!(
+            refine_budgeted(Variant::StrongLabelled, &lg1, &lg2, &unlimited, &periodic8)
+                .expect("unlimited budget cannot interrupt")
+                .holds(0, 0)
+        );
         every_samples.push(t.elapsed().as_secs_f64() * 1e6);
         assert!(slot.take().is_some(), "periodic cfg published a snapshot");
     }
@@ -339,7 +305,7 @@ fn measure_entries(s: &Sizes, tag: &str) -> Vec<Entry> {
     // error. The checkpointed path bypasses the graph memo, so both
     // sides redo real construction work; the probe warms the semantic
     // successor caches for both sides equally.
-    let checker = Checker::new(&defs).with_threads(1);
+    let checker = Checker::new(&defs);
     let tank = Arc::new(AtomicUsize::new(1 << 30));
     let probe: CheckpointCfg<Checkpoint> = CheckpointCfg::default().with_fuel(tank.clone());
     checker
@@ -376,82 +342,6 @@ fn measure_entries(s: &Sizes, tag: &str) -> Vec<Entry> {
 
 fn inert_pipeline() -> CheckpointCfg<Checkpoint> {
     CheckpointCfg::default()
-}
-
-/// B10 — the PR 3 thread-scaling sweep.
-fn measure_thread_series(s: &Sizes, wide_n: usize) -> Vec<Series> {
-    let defs = Defs::new();
-    let mut series: Vec<Series> = Vec::new();
-
-    // Refinement: one pair of prebuilt τ-ladder graphs, refined with the
-    // round-synchronous parallel engine at each thread count. The
-    // relation is identical at every count (the oracle tests pin that);
-    // only the wall clock may move.
-    let ladder = tau_chain(s.ladder_n);
-    let opts = Opts::default();
-    let pool = shared_pool(&ladder, &ladder, opts.fresh_inputs);
-    let g1 = Graph::build(&ladder, &defs, &pool, opts).expect("ladder fits");
-    let g2 = Graph::build(&ladder, &defs, &pool, opts).expect("ladder fits");
-    series.push(Series {
-        id: "bisim/refine-parallel/tau-ladder/weak-labelled",
-        points: THREADS
-            .iter()
-            .map(|&t| {
-                let us = median_us(s.reps, || {
-                    assert!(refine_parallel(Variant::WeakLabelled, &g1, &g2, t).holds(0, 0));
-                });
-                (t, us)
-            })
-            .collect(),
-        note: "round-synchronous refinement of the 49-state ladder (2401 pairs)",
-    });
-
-    // Exploration: tagged terms per sample, so every run is cold and the
-    // workers have real derivations to share.
-    let mut tag_no = 0usize;
-    series.push(Series {
-        id: "explore/independent-3^N/cold-parallel",
-        points: THREADS
-            .iter()
-            .map(|&t| {
-                let us = median_us(s.reps, || {
-                    tag_no += 1;
-                    let sys = independent_components_tagged(s.explore_n, &format!("x{tag_no}#"));
-                    std::hint::black_box(
-                        explore_parallel(&sys, &defs, ExploreOpts::default(), t).len(),
-                    );
-                });
-                (t, us)
-            })
-            .collect(),
-        note: "cold frontier exploration of 3^8 states, fresh channel names per sample",
-    });
-
-    // Construction: the wide-parallel-composition family through the
-    // full equivalence-graph builder (input pool, discard sets, canonical
-    // BFS renumbering).
-    let budget = Budget::unlimited();
-    series.push(Series {
-        id: "graph/build-parallel/wide-par",
-        points: THREADS
-            .iter()
-            .map(|&t| {
-                let us = median_us(s.reps, || {
-                    tag_no += 1;
-                    let sys = wide_par_tagged(wide_n, &format!("w{tag_no}#"));
-                    let pool = shared_pool(&sys, &sys, opts.fresh_inputs);
-                    std::hint::black_box(
-                        Graph::build_parallel(&sys, &defs, &pool, opts, &budget, t)
-                            .expect("wide-par fits")
-                            .len(),
-                    );
-                });
-                (t, us)
-            })
-            .collect(),
-        note: "equivalence-graph construction of the wide composition, fresh names per sample",
-    });
-    series
 }
 
 /// One rung of the BENCH_7 state-size ladder.
@@ -572,7 +462,7 @@ fn measure_compose_ladder(
             sample_no += 1;
             let sys = family(n, &format!("{tag}{sample_no}#"));
             let pool = shared_pool(&sys, &sys, opts.fresh_inputs);
-            let g = build_composed(&sys, &defs, &pool, opts, &budget, 1)
+            let g = build_composed(&sys, &defs, &pool, opts, &budget)
                 .expect("identical-component families are finite")
                 .expect("identical-component families pass the compose gate");
             comp_states = g.len();
@@ -1133,7 +1023,6 @@ fn main() {
         depth: 12,
         reps: if check { 5 } else { 9 },
     };
-    let wide_n = 7; // 3^7 = 2187 states per build
 
     if check {
         if run_check(&sizes)
@@ -1166,7 +1055,6 @@ fn main() {
              vs C(N+2,2) orbit states",
         ),
     ];
-    let series = measure_thread_series(&sizes, wide_n);
     let reliability = measure_reliability();
     let metrics = with_metrics.then(|| measure_metrics(&sizes));
     let host_cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
@@ -1179,7 +1067,7 @@ fn main() {
     json.push_str("  \"pr\": 9,\n");
     json.push_str(&format!("  \"host_cpus\": {host_cpus},\n"));
     json.push_str(&format!(
-        "  \"pinned\": {{ \"tau_ladder\": {}, \"scaled_sums\": {}, \"explore_components\": {}, \"wide_par\": {wide_n}, \"term_depth\": {}, \"repeats\": {} }},\n",
+        "  \"pinned\": {{ \"tau_ladder\": {}, \"scaled_sums\": {}, \"explore_components\": {}, \"term_depth\": {}, \"repeats\": {} }},\n",
         sizes.ladder_n, sizes.scaled_n, sizes.explore_n, sizes.depth, sizes.reps
     ));
     json.push_str(&format!(
@@ -1195,23 +1083,6 @@ fn main() {
             e.speedup(),
             e.note,
             if i + 1 == entries.len() { "" } else { "," }
-        ));
-    }
-    json.push_str("  ],\n");
-    json.push_str("  \"thread_series\": [\n");
-    for (i, s) in series.iter().enumerate() {
-        let pts: Vec<String> = s
-            .points
-            .iter()
-            .map(|(t, us)| format!("{{ \"threads\": {t}, \"us\": {us:.1} }}"))
-            .collect();
-        json.push_str(&format!(
-            "    {{ \"id\": \"{}\", \"points\": [{}], \"speedup_at_4\": {:.2}, \"note\": \"{}\" }}{}\n",
-            s.id,
-            pts.join(", "),
-            s.speedup_at(4),
-            s.note,
-            if i + 1 == series.len() { "" } else { "," }
         ));
     }
     json.push_str("  ],\n");
@@ -1253,19 +1124,6 @@ fn main() {
             e.baseline_us,
             e.optimized_us,
             e.speedup()
-        );
-    }
-    for s in &series {
-        let pts: Vec<String> = s
-            .points
-            .iter()
-            .map(|(t, us)| format!("{t}t:{us:.0}us"))
-            .collect();
-        eprintln!(
-            "{:<48} {}  ({:.2}x @4t, host_cpus={host_cpus})",
-            s.id,
-            pts.join("  "),
-            s.speedup_at(4)
         );
     }
     for r in &reliability {

@@ -9,7 +9,7 @@
 //! * `normalize` — head-normal-form computation and the prover;
 //! * `broadcast_vs_p2p` — 1→N broadcast vs the π-encoded multicast
 //!   emulation (sender-side cost: constant vs linear);
-//! * `explore` — sequential vs crossbeam-parallel state-space search;
+//! * `explore` — state-space search;
 //! * `examples` — the paper's worked examples end-to-end vs their
 //!   direct Rust baselines.
 
@@ -55,8 +55,7 @@ pub fn independent_components(n: usize) -> bpi_core::syntax::P {
 /// [`independent_components`] with `tag`-prefixed channel names: a fresh
 /// tag per measurement yields structurally fresh terms, defeating the
 /// cross-run successor memos so each sample pays genuinely cold
-/// construction (thread-scaling measurements need this — a memo hit
-/// parallelises nothing).
+/// construction.
 pub fn independent_components_tagged(n: usize, tag: &str) -> bpi_core::syntax::P {
     use bpi_core::builder::*;
     par_of((0..n).map(|i| {

@@ -29,7 +29,7 @@
 //!
 //! [`verdicts`] gathers every challenge's headline checks into one
 //! labelled boolean vector: the differential-engine tests replay it
-//! under every `BPI_ENGINE` / `BPI_COMPOSE` / `BPI_THREADS` setting and
+//! under every `BPI_ENGINE` / `BPI_COMPOSE` setting and
 //! demand bit-identical answers, and the B16 bench ladder times it.
 
 pub mod broadcast;

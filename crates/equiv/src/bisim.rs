@@ -14,7 +14,7 @@
 //! All six relations are decided by the same greatest-fixpoint pair
 //! refinement over the two finite [`Graph`]s: start from the full
 //! relation and delete pairs violating the transfer conditions until
-//! stable. Three engines compute that fixpoint — all chaotic iterations
+//! stable. Four engines compute that fixpoint — all chaotic iterations
 //! of the same monotone transfer operator, hence the same greatest
 //! fixpoint:
 //!
@@ -22,20 +22,16 @@
 //!   fastest choice on small products — no index construction);
 //! * the predecessor-indexed worklist [`refine_worklist`] (Gauss–Seidel:
 //!   killing a pair re-examines only the pairs with an edge into it);
-//! * the round-synchronous parallel engine [`refine_parallel`]
-//!   (Jacobi / Kanellakis–Smolka-signature style: each round re-checks
-//!   the dirty pairs against an immutable snapshot, split across
-//!   crossbeam workers with per-chunk kill buffers merged
-//!   deterministically);
+//! * the round-synchronous [`refine_budgeted`] (Jacobi: each round
+//!   re-checks the dirty pairs against the relation as it stood at the
+//!   round's start), the checkpointed pipeline's pairwise engine;
 //! * the block/splitter partition refiner of [`crate::partition`], which
 //!   abandons the pair table entirely and refines a partition of the
 //!   disjoint union of the two graphs.
 //!
 //! [`refine_auto`] picks between naive, partition and worklist by pair
-//! count and partition safety (never the parallel engine, which is
-//! opt-in); the `BPI_ENGINE` env var overrides the choice. The
-//! [`Checker`] runs that, with its thread count defaulting to the
-//! `BPI_THREADS` policy of [`bpi_semantics::threads`].
+//! count and partition safety; the `BPI_ENGINE` env var overrides the
+//! choice. The [`Checker`] runs that on the calling thread.
 
 use crate::checkpoint::RefineCheckpoint;
 use crate::graph::{shared_pool, Graph, Opts};
@@ -45,16 +41,15 @@ use bpi_core::syntax::{Defs, P};
 use bpi_obs::{counter, Counter, Det, Value};
 use bpi_semantics::budget::{Budget, EngineError};
 use bpi_semantics::checkpoint::{record_snapshot, CheckpointCfg, Interrupted};
-use parking_lot::Mutex;
 use std::collections::{BTreeSet, VecDeque};
 use std::sync::{Arc, LazyLock};
 
 // Refinement metrics. The deterministic set is *result-derived*: all
-// three engines converge to the same greatest fixpoint over the same
+// the engines converge to the same greatest fixpoint over the same
 // graphs, so the initial pair count and the surviving/killed split are
-// engine- and thread-independent. How the engines get there — sweeps,
-// worklist pops, rounds, chunk schedules — is process-derived and
-// advisory by contract (metrics_oracle.rs enforces the split).
+// engine-independent. How the engines get there — sweeps, worklist
+// pops, rounds — is process-derived and advisory by contract
+// (metrics_oracle.rs enforces the split).
 static REFINE_RUNS: LazyLock<&Counter> =
     LazyLock::new(|| counter("equiv.refine.runs", Det::Deterministic));
 static REFINE_PAIRS: LazyLock<&Counter> =
@@ -67,16 +62,10 @@ static NAIVE_SWEEPS: LazyLock<&Counter> =
     LazyLock::new(|| counter("equiv.refine.naive.sweeps", Det::Advisory));
 static WORKLIST_POPS: LazyLock<&Counter> =
     LazyLock::new(|| counter("equiv.refine.worklist.pops", Det::Advisory));
-static PARALLEL_ROUNDS: LazyLock<&Counter> =
-    LazyLock::new(|| counter("equiv.refine.parallel.rounds", Det::Advisory));
-static PARALLEL_CHUNKS: LazyLock<&Counter> =
-    LazyLock::new(|| counter("equiv.refine.parallel.chunks", Det::Advisory));
-static PARALLEL_ROUND_RETRIES: LazyLock<&Counter> =
-    LazyLock::new(|| counter("equiv.refine.parallel.round_retries", Det::Advisory));
 static BUDGETED_ROUNDS: LazyLock<&Counter> =
     LazyLock::new(|| counter("equiv.refine.budgeted.rounds", Det::Advisory));
 
-/// Exit bookkeeping shared by the three engines: exactly one call per
+/// Exit bookkeeping shared by the pairwise engines: exactly one call per
 /// public engine invocation (the small-product cutovers delegate before
 /// recording, so nothing double-counts).
 pub(crate) fn record_refine(engine: &'static str, pr: &PairRelation, n1: usize, n2: usize) {
@@ -160,12 +149,6 @@ pub struct Checker<'d> {
     /// are polled during the build; the state ceiling composes with
     /// `opts.max_states` by taking the minimum).
     pub budget: Budget,
-    /// Worker-thread count for graph construction and refinement.
-    /// Defaults to [`bpi_semantics::default_threads`] (`1` unless
-    /// `BPI_THREADS` opts in); `1` keeps everything on the calling
-    /// thread. Every thread count produces bit-identical graphs,
-    /// relations and errors, so this is purely a performance knob.
-    pub threads: usize,
 }
 
 /// A computed candidate relation between two graphs, exposed so that the
@@ -215,7 +198,6 @@ impl<'d> Checker<'d> {
             defs,
             opts: Opts::default(),
             budget: Budget::unlimited(),
-            threads: bpi_semantics::default_threads(),
         }
     }
 
@@ -224,7 +206,6 @@ impl<'d> Checker<'d> {
             defs,
             opts,
             budget: Budget::unlimited(),
-            threads: bpi_semantics::default_threads(),
         }
     }
 
@@ -234,10 +215,11 @@ impl<'d> Checker<'d> {
         self
     }
 
-    /// Sets the worker-thread count (clamped to at least 1). The answer
-    /// is identical at every thread count; only wall-clock changes.
-    pub fn with_threads(mut self, threads: usize) -> Checker<'d> {
-        self.threads = threads.max(1);
+    /// Does nothing and returns `self`: every check runs on the calling
+    /// thread. Kept only because the benchmark harness still calls it;
+    /// the next change to the benchmark removes it.
+    pub fn with_threads(self, threads: usize) -> Checker<'d> {
+        let _ = threads;
         self
     }
 
@@ -286,11 +268,9 @@ impl<'d> Checker<'d> {
     /// variants of [`all_variants`] and the congruence/diagnostic layers
     /// share one build per *(process, pool)*) and computes the greatest
     /// bisimulation between them for the chosen variant with the engine
-    /// [`refine_auto`] picks for `self.threads` and the product size.
-    /// `Err` when either graph exceeds the state budget
-    /// (`opts.max_states` ∧ `budget`) or the budget's
-    /// deadline/cancellation fires — the same `Err` at every thread
-    /// count.
+    /// [`refine_auto`] picks for the product size. `Err` when either
+    /// graph exceeds the state budget (`opts.max_states` ∧ `budget`) or
+    /// the budget's deadline/cancellation fires.
     pub fn try_fixpoint(
         &self,
         v: Variant,
@@ -304,36 +284,16 @@ impl<'d> Checker<'d> {
         // every downstream verdict is unchanged (compose_oracle.rs).
         // The gate declining is not an error — just the monolithic path.
         if crate::compose::compose_enabled() {
-            if let Some((g1, g2)) = crate::compose::try_compose_pair(
-                p,
-                q,
-                self.defs,
-                &pool,
-                self.opts,
-                &self.budget,
-                self.threads,
-            )? {
-                let rel = refine_auto(v, &g1, &g2, self.threads);
+            if let Some((g1, g2)) =
+                crate::compose::try_compose_pair(p, q, self.defs, &pool, self.opts, &self.budget)?
+            {
+                let rel = refine_auto(v, &g1, &g2, 1);
                 return Ok((g1, g2, rel));
             }
         }
-        let g1 = Graph::build_cached_threads(
-            p,
-            self.defs,
-            &pool,
-            self.opts,
-            &self.budget,
-            self.threads,
-        )?;
-        let g2 = Graph::build_cached_threads(
-            q,
-            self.defs,
-            &pool,
-            self.opts,
-            &self.budget,
-            self.threads,
-        )?;
-        let rel = refine_auto(v, &g1, &g2, self.threads);
+        let g1 = Graph::build_cached(p, self.defs, &pool, self.opts, &self.budget)?;
+        let g2 = Graph::build_cached(q, self.defs, &pool, self.opts, &self.budget)?;
+        let rel = refine_auto(v, &g1, &g2, 1);
         Ok((g1, g2, rel))
     }
 
@@ -423,12 +383,6 @@ pub(crate) fn dependents(g: &Graph, weak: bool) -> Arc<DepSets> {
 /// before this cutover). The crossover is recorded in `DESIGN.md` §8.
 pub(crate) const NAIVE_MAX_PAIRS: usize = 1024;
 
-/// Dirty-set size below which a [`refine_parallel`] round runs inline on
-/// the calling thread instead of spawning workers — late rounds usually
-/// re-check a handful of pairs, and a scope spawn per tiny round would
-/// swamp them.
-const PAR_ROUND_MIN: usize = 2048;
-
 /// Predecessor-indexed worklist refinement: computes the same greatest
 /// fixpoint as [`refine`], but killing a pair `(x, y)` re-enqueues only
 /// the pairs in `deps₁(x) × deps₂(y)` whose checks could have referenced
@@ -488,155 +442,27 @@ pub(crate) fn refine_worklist_indexed(v: Variant, g1: &Graph, g2: &Graph) -> Pai
     pr
 }
 
-/// Round-synchronous parallel refinement (Jacobi iteration in the
-/// Kanellakis–Smolka signature style): each round re-checks the current
-/// dirty pairs against an immutable snapshot of the relation, kills the
-/// violators, and seeds the next dirty set from the predecessor
-/// dependencies of the kills.
-///
-/// Large rounds are split into contiguous chunks across crossbeam scoped
-/// workers, each filling a private kill buffer; buffers are concatenated
-/// in chunk order. **Determinism:** a round's kill set is
-/// `{(i,j) ∈ dirty : rel[i][j] ∧ ¬transfer((i,j), rel)}` — a pure
-/// function of `(dirty, rel)` independent of the partitioning — and the
-/// next dirty set is sorted before use, so the relation after every
-/// round, and hence the final fixpoint, is bit-identical at every thread
-/// count. Equality with [`refine`] / [`refine_worklist`] follows from
-/// the chaotic-iteration argument: all three schedules re-examine every
-/// pair whose check might have changed, so all converge to the same
-/// greatest fixpoint of the monotone transfer operator.
-pub fn refine_parallel(v: Variant, g1: &Graph, g2: &Graph, threads: usize) -> PairRelation {
-    let threads = threads.max(1);
-    let (n1, n2) = (g1.len(), g2.len());
-    let mut pr = PairRelation::full(n1, n2);
-    if n1 == 0 || n2 == 0 {
-        record_refine("parallel", &pr, n1, n2);
-        return pr;
-    }
-    let mut rounds = 0u64;
-    let mut dirty: Vec<(u32, u32)> = (0..n1 as u32)
-        .flat_map(|i| (0..n2 as u32).map(move |j| (i, j)))
-        .collect();
-    // Dependency sets are only needed once something dies; bisimilar
-    // pairs of graphs never pay for them.
-    let mut deps: Option<(Arc<DepSets>, Arc<DepSets>)> = None;
-    let mut queued = vec![false; n1 * n2];
-    while !dirty.is_empty() {
-        rounds += 1;
-        let kills = match check_round(v, g1, g2, &pr, &dirty, threads) {
-            Ok(kills) => kills,
-            Err(_) => {
-                // A chunk worker panicked (in practice only the chaos
-                // harness does this — the workers otherwise only read the
-                // graphs and the snapshot). The round's kill set is a pure
-                // function of `(dirty, rel)`, so re-running it on the
-                // calling thread yields the identical round result and the
-                // engine stays total; the budgeted engine surfaces the
-                // typed error instead.
-                PARALLEL_ROUND_RETRIES.inc();
-                bpi_obs::emit("equiv.refine", "round_retried", || {
-                    vec![("dirty", Value::from(dirty.len()))]
-                });
-                check_round(v, g1, g2, &pr, &dirty, 1)
-                    .expect("sequential round re-run cannot panic")
-            }
-        };
-        if kills.is_empty() {
-            break;
-        }
-        for &(i, j) in &kills {
-            pr.rel[i as usize][j as usize] = false;
-        }
-        let (dep1, dep2) =
-            deps.get_or_insert_with(|| (dependents(g1, v.is_weak()), dependents(g2, v.is_weak())));
-        let mut next: Vec<(u32, u32)> = Vec::new();
-        for &(i, j) in &kills {
-            for &pi in &dep1[i as usize] {
-                for &pj in &dep2[j as usize] {
-                    if pr.rel[pi][pj] && !queued[pi * n2 + pj] {
-                        queued[pi * n2 + pj] = true;
-                        next.push((pi as u32, pj as u32));
-                    }
-                }
-            }
-        }
-        for &(i, j) in &next {
-            queued[i as usize * n2 + j as usize] = false;
-        }
-        next.sort_unstable();
-        dirty = next;
-    }
-    PARALLEL_ROUNDS.add(rounds);
-    record_refine("parallel", &pr, n1, n2);
-    pr
-}
-
 /// One refinement round: the pairs of `dirty` that are still in the
-/// relation but now violate the transfer property. Chunked across
-/// crossbeam workers when the round is large enough to amortise the
-/// scope; the sequential and chunked paths filter the same slice in the
-/// same order, so the result is identical either way.
-///
-/// A panicking chunk worker is contained by the crossbeam scope and
-/// surfaces as `Err(EngineError::WorkerPanicked)` — never an abort. The
-/// sequential path (`threads <= 1` or a small round) cannot fail.
+/// relation but now violate the transfer property, checked against the
+/// relation as it stood at the start of the round.
 fn check_round(
     v: Variant,
     g1: &Graph,
     g2: &Graph,
     pr: &PairRelation,
     dirty: &[(u32, u32)],
-    threads: usize,
-) -> Result<Vec<(u32, u32)>, EngineError> {
-    let check = |i: usize, j: usize| {
-        let fwd = RelView::new(&pr.rel, false);
-        let bwd = RelView::new(&pr.rel, true);
-        pr.rel[i][j] && !(direction(v, g1, i, g2, j, fwd) && direction(v, g2, j, g1, i, bwd))
-    };
-    if threads <= 1 || dirty.len() < PAR_ROUND_MIN {
-        return Ok(dirty
-            .iter()
-            .copied()
-            .filter(|&(i, j)| check(i as usize, j as usize))
-            .collect());
-    }
-    let chunk = dirty.len().div_ceil(threads);
-    let slots: Vec<Mutex<Vec<(u32, u32)>>> = dirty
-        .chunks(chunk)
-        .map(|_| Mutex::new(Vec::new()))
-        .collect();
-    PARALLEL_CHUNKS.add(slots.len() as u64);
-    bpi_obs::histogram("equiv.refine.parallel.chunk_size").record(chunk as u64);
-    let joined = crossbeam::scope(|s| {
-        for (part, slot) in dirty.chunks(chunk).zip(&slots) {
-            let check = &check;
-            s.spawn(move |_| {
-                // Chaos injection point: may panic under an installed
-                // `BPI_CHAOS` plan; the scope contains the unwind.
-                bpi_semantics::chaos::worker_tick("equiv.refine.chunk");
-                let mut local = Vec::new();
-                for &(i, j) in part {
-                    if check(i as usize, j as usize) {
-                        local.push((i, j));
-                    }
-                }
-                *slot.lock() = local;
-            });
-        }
-    });
-    // The workers only read the graphs and the snapshot; outside the
-    // chaos harness a panic here is a bug in `direction` that would have
-    // unwound sequentially too. Either way it becomes a typed error.
-    if joined.is_err() {
-        return Err(EngineError::WorkerPanicked);
-    }
-    let mut kills = Vec::new();
-    for slot in slots {
-        kills.extend(slot.into_inner());
-    }
-    Ok(kills)
+) -> Vec<(u32, u32)> {
+    let fwd = RelView::new(&pr.rel, false);
+    let bwd = RelView::new(&pr.rel, true);
+    dirty
+        .iter()
+        .copied()
+        .filter(|&(i, j)| {
+            let (i, j) = (i as usize, j as usize);
+            pr.rel[i][j] && !(direction(v, g1, i, g2, j, fwd) && direction(v, g2, j, g1, i, bwd))
+        })
+        .collect()
 }
-
 /// The engine [`refine_auto`] resolves to for one product.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub(crate) enum Engine {
@@ -649,10 +475,7 @@ pub(crate) enum Engine {
 /// pin it: the naive sweep at or below [`NAIVE_MAX_PAIRS`] pairs, the
 /// partition refiner above it whenever the product is partition-safe
 /// (uniform input arities — see [`crate::partition::partition_safe`]),
-/// the pairwise worklist otherwise. Deliberately *not* a function of the
-/// thread count: the round-parallel engine never beat 1.0× at any
-/// thread count in the ≤ ~2500-pair regime the BENCH_5 thread series
-/// measured, so it is opt-in only via [`refine_parallel`].
+/// the pairwise worklist otherwise.
 pub(crate) fn auto_engine(pairs: usize, partition_safe: bool) -> Engine {
     if pairs <= NAIVE_MAX_PAIRS {
         Engine::Naive
@@ -666,8 +489,7 @@ pub(crate) fn auto_engine(pairs: usize, partition_safe: bool) -> Engine {
 /// The `BPI_ENGINE` override, re-read on every dispatch (tests flip it
 /// mid-process): `partition`, `worklist` or `naive` force that engine;
 /// empty, unset or `auto` defer to [`auto_engine`]; anything else warns
-/// once and falls back to the automatic choice, mirroring the
-/// `BPI_THREADS` policy.
+/// once and falls back to the automatic choice.
 pub(crate) fn engine_override() -> Option<Engine> {
     let raw = std::env::var("BPI_ENGINE").ok()?;
     match raw.trim().to_ascii_lowercase().as_str() {
@@ -711,12 +533,9 @@ pub(crate) fn select_engine(g1: &Graph, g2: &Graph) -> Engine {
 /// choice is invisible to callers; `BPI_ENGINE` overrides it (see
 /// [`select_engine`]).
 ///
-/// The `threads` argument no longer selects an engine: dispatching the
-/// round-synchronous parallel refiner by thread count made the answer's
-/// *cost* depend on `BPI_THREADS` without ever improving it (BENCH_5
-/// `thread_series` never beat 1.0×), and pushed small products through
-/// per-round scope spawns. It is kept so the signature stays stable and
-/// the dispatch is pinned thread-independent by regression test.
+/// The `threads` argument is ignored: every engine runs on the calling
+/// thread. It stays only because the benchmark harness still passes it;
+/// the next change to the benchmark removes it.
 pub fn refine_auto(v: Variant, g1: &Graph, g2: &Graph, threads: usize) -> PairRelation {
     let _ = threads;
     match select_engine(g1, g2) {
@@ -740,20 +559,24 @@ fn poll_round<C>(cfg: &CheckpointCfg<C>, budget: &Budget) -> Result<(), EngineEr
     cfg.burn_fuel()
 }
 
-/// The round-synchronous engine of [`refine_parallel`] under a [`Budget`]
-/// and a [`CheckpointCfg`]: identical fixpoint, but the engine polls the
-/// budget at every round boundary and any interruption — deadline,
-/// cancellation, chaos pressure, fuel exhaustion, or a panicked chunk
-/// worker — returns [`Interrupted`] carrying a [`RefineCheckpoint`]
-/// instead of aborting or discarding the rounds already run.
+/// Round-synchronous refinement (Jacobi iteration in the
+/// Kanellakis–Smolka signature style) under a [`Budget`] and a
+/// [`CheckpointCfg`]: each round re-checks the dirty pairs against the
+/// relation as it stood at the round's start, kills the violators, and
+/// seeds the next dirty set from the predecessor dependencies of the
+/// kills. Same fixpoint as [`refine`], but the engine polls the budget
+/// at every round boundary and any interruption — deadline,
+/// cancellation, chaos pressure or fuel exhaustion — returns
+/// [`Interrupted`] carrying a [`RefineCheckpoint`] instead of aborting or
+/// discarding the rounds already run.
 ///
 /// **Why a checkpoint is just the relation.** All engines here are
 /// chaotic iterations of the same monotone transfer operator, so every
 /// intermediate relation is a superset of the greatest fixpoint.
 /// [`refine_resume`] therefore only needs the relation snapshot: it
 /// re-seeds the dirty set with *all* surviving pairs and iterates on —
-/// sound for a snapshot taken by any of the three engines, at any round
-/// boundary, at any thread count.
+/// sound for a snapshot taken by any of the engines, at any round
+/// boundary.
 ///
 /// Deterministic refinement metrics ([`record_refine`]) are recorded
 /// exactly once, on completion — an interrupted run records nothing, so
@@ -763,12 +586,11 @@ pub fn refine_budgeted(
     v: Variant,
     g1: &Graph,
     g2: &Graph,
-    threads: usize,
     budget: &Budget,
     cfg: &CheckpointCfg<RefineCheckpoint>,
 ) -> Result<PairRelation, Interrupted<RefineCheckpoint>> {
     let pr = PairRelation::full(g1.len(), g2.len());
-    refine_rounds(v, g1, g2, threads, budget, cfg, pr, 0)
+    refine_rounds(v, g1, g2, budget, cfg, pr, 0)
 }
 
 /// Continues [`refine_budgeted`] from a snapshot taken by any refinement
@@ -778,7 +600,6 @@ pub fn refine_resume(
     v: Variant,
     g1: &Graph,
     g2: &Graph,
-    threads: usize,
     budget: &Budget,
     cfg: &CheckpointCfg<RefineCheckpoint>,
     ckpt: RefineCheckpoint,
@@ -794,7 +615,6 @@ pub fn refine_resume(
         v,
         g1,
         g2,
-        threads,
         budget,
         cfg,
         PairRelation { rel: ckpt.rel },
@@ -802,18 +622,15 @@ pub fn refine_resume(
     )
 }
 
-#[allow(clippy::too_many_arguments)]
 fn refine_rounds(
     v: Variant,
     g1: &Graph,
     g2: &Graph,
-    threads: usize,
     budget: &Budget,
     cfg: &CheckpointCfg<RefineCheckpoint>,
     mut pr: PairRelation,
     mut rounds: u64,
 ) -> Result<PairRelation, Interrupted<RefineCheckpoint>> {
-    let threads = threads.max(1);
     let (n1, n2) = (g1.len(), g2.len());
     if n1 == 0 || n2 == 0 {
         record_refine("budgeted", &pr, n1, n2);
@@ -840,20 +657,7 @@ fn refine_rounds(
                 checkpoint: snapshot(&pr, rounds),
             });
         }
-        let kills = match check_round(v, g1, g2, &pr, &dirty, threads) {
-            Ok(kills) => kills,
-            Err(e) => {
-                // A panicked chunk worker: the relation is untouched (the
-                // round's kills were never applied), so the snapshot is a
-                // valid round boundary and the caller can resume — or
-                // retry under a supervisor — without losing rounds.
-                record_snapshot("interrupt");
-                return Err(Interrupted {
-                    error: e,
-                    checkpoint: snapshot(&pr, rounds),
-                });
-            }
-        };
+        let kills = check_round(v, g1, g2, &pr, &dirty);
         rounds += 1;
         if kills.is_empty() {
             break;
@@ -1102,14 +906,6 @@ mod tests {
         Defs::new()
     }
 
-    /// Serialises the tests that run the parallel engine against the
-    /// one that asserts its process-global round counter stays put.
-    static PARALLEL_ENGINE: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-    fn parallel_engine_lock() -> std::sync::MutexGuard<'static, ()> {
-        PARALLEL_ENGINE.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
     #[test]
     fn identical_processes_are_bisimilar_everywhere() {
         let d = defs();
@@ -1334,7 +1130,6 @@ mod tests {
     fn worklist_agrees_with_naive_refine_on_paper_witnesses() {
         // Full-relation agreement (not just the root pair) on the
         // paper's distinguishing witnesses, across all six variants.
-        let _g = parallel_engine_lock();
         let d = defs();
         let [a, b, c, x] = names(["a", "b", "c", "x"]);
         let pairs: Vec<(bpi_core::syntax::P, bpi_core::syntax::P)> = vec![
@@ -1362,13 +1157,10 @@ mod tests {
                 let naive = refine(v, &g1, &g2);
                 let fast = refine_worklist_indexed(v, &g1, &g2);
                 assert_eq!(naive.rel, fast.rel, "{v:?} diverged on {p} vs {q}");
-                for threads in [1, 2, 4] {
-                    let par = refine_parallel(v, &g1, &g2, threads);
-                    assert_eq!(
-                        naive.rel, par.rel,
-                        "{v:?} parallel({threads}) diverged on {p} vs {q}"
-                    );
-                }
+                let rounds =
+                    refine_budgeted(v, &g1, &g2, &Budget::unlimited(), &CheckpointCfg::default())
+                        .expect("an unlimited budget completes");
+                assert_eq!(naive.rel, rounds.rel, "{v:?} rounds diverged on {p} vs {q}");
             }
         }
     }
@@ -1386,13 +1178,7 @@ mod tests {
     }
 
     #[test]
-    fn dispatch_never_picks_parallel_and_is_thread_independent() {
-        let _g = parallel_engine_lock();
-        // Satellite regression for the BENCH_5 thread-series finding:
-        // the round-synchronous parallel engine never beat 1.0× in the
-        // ≤ ~2500-pair regime, so the automatic dispatch must never
-        // select it — at any pair count or thread count.
-        //
+    fn dispatch_picks_by_pair_count_and_safety() {
         // Pin the pure decision table first: the 49-state tau-ladder
         // (2401 pairs) lands on the partition refiner when safe and the
         // pairwise worklist when not; the naive cutover is unchanged.
@@ -1402,9 +1188,8 @@ mod tests {
         assert_eq!(auto_engine(2401, false), Engine::Worklist);
         assert_eq!(auto_engine(1_000_000, true), Engine::Partition);
 
-        // Then drive the tau-ladder through `refine_auto` at a high
-        // thread count and check the parallel engine's round counter
-        // never moves while the relation matches the worklist oracle.
+        // Then drive the tau-ladder through `refine_auto` and check the
+        // relation matches the worklist oracle.
         let d = defs();
         let [a] = names(["a"]);
         let mut p = out_(a, []);
@@ -1418,15 +1203,7 @@ mod tests {
             "ladder must be above the naive cutover to exercise dispatch"
         );
         let want = refine_worklist_indexed(Variant::WeakBarbed, &g, &g);
-        let before = PARALLEL_ROUNDS.get();
-        for threads in [1, 8] {
-            let got = refine_auto(Variant::WeakBarbed, &g, &g, threads);
-            assert_eq!(got.rel, want.rel, "threads={threads} changed the answer");
-        }
-        assert_eq!(
-            PARALLEL_ROUNDS.get(),
-            before,
-            "auto dispatch must never reach the parallel engine"
-        );
+        let got = refine_auto(Variant::WeakBarbed, &g, &g, 1);
+        assert_eq!(got.rel, want.rel);
     }
 }

@@ -4,7 +4,7 @@
 //! and the refinement fixpoint. This module gives each a serializable
 //! snapshot and stitches them into one umbrella [`Checkpoint`] for the
 //! whole [`Checker`] pipeline, so a budget exhaustion, deadline,
-//! cancellation, chaos injection or panicked worker surfaces as a typed
+//! cancellation or chaos injection surfaces as a typed
 //! [`Interrupted`] carrying everything needed to continue:
 //!
 //! * [`GraphCheckpoint`] — an in-progress (or completed) FIFO graph
@@ -16,7 +16,7 @@
 //!   monotone transfer operator, any intermediate relation is a superset
 //!   of the greatest fixpoint, so the relation (plus a round count for
 //!   reporting) is the *whole* resumable state — valid for snapshots from
-//!   any pairwise engine at any thread count. Resumed by
+//!   any pairwise engine. Resumed by
 //!   [`crate::bisim::refine_resume`].
 //! * [`PartitionCheckpoint`] — the partition refiner's block array and
 //!   dirty worklist at a round boundary, linear in the state count.
@@ -950,14 +950,14 @@ impl<'d> Checker<'d> {
     /// for the product: the partition refiner
     /// ([`refine_partition_budgeted`]) on partition-safe products above
     /// the naive cutover, the round-synchronous pairwise engine
-    /// ([`refine_budgeted`], at `self.threads`) on naive-sized and
+    /// ([`refine_budgeted`]) on naive-sized and
     /// mixed-arity ones. Either way the relation is the one
     /// [`Checker::check`] computes. Differences from the plain path, by
     /// design:
     /// * the global graph memo is **bypassed** (a memo hit would skip the
     ///   states a checkpoint must contain),
-    /// * graph builds run sequentially (the canonical FIFO order *is* the
-    ///   checkpoint format), and
+    /// * graph builds follow the canonical FIFO order, which *is* the
+    ///   checkpoint format, and
     /// * `BPI_COMPOSE` is not consulted.
     ///
     /// Deterministic metrics are recorded once per completed phase, so an
@@ -1076,8 +1076,8 @@ impl<'d> Checker<'d> {
                 refine: RefineSnapshot::Pairwise(rck),
             };
             relayed(cfg, &wrap, |inner| match ck {
-                Some(ck) => refine_resume(v, &g1, &g2, self.threads, &self.budget, inner, ck),
-                None => refine_budgeted(v, &g1, &g2, self.threads, &self.budget, inner),
+                Some(ck) => refine_resume(v, &g1, &g2, &self.budget, inner, ck),
+                None => refine_budgeted(v, &g1, &g2, &self.budget, inner),
             })
         };
         // The same engine decision as `refine_auto`, except that a
@@ -1166,7 +1166,7 @@ impl<'d> Checker<'d> {
         }
     }
 
-    /// [`Checker::check`] under supervision: worker panics are isolated
+    /// [`Checker::check`] under supervision: panics are isolated
     /// (`catch_unwind`), retryable exhaustion grows the budget and
     /// **resumes from the last checkpoint** instead of re-exploring, and
     /// when `attempts` run out the verdict is an *anytime* partial answer
@@ -1178,7 +1178,6 @@ impl<'d> Checker<'d> {
                 defs: self.defs,
                 opts: self.opts,
                 budget: budget.clone(),
-                threads: self.threads,
             };
             let cfg = CheckpointCfg::periodic(SUPERVISED_EVERY, slot.clone());
             match resume {

@@ -61,7 +61,7 @@
 
 use crate::bisim::Variant;
 use crate::graph::Graph;
-use crate::partition::quotient_threads;
+use crate::partition::quotient;
 use bpi_core::action::Action;
 use bpi_core::name::{Name, NameSet};
 use bpi_core::syntax::{Defs, P};
@@ -74,8 +74,8 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::sync::{Arc, LazyLock};
 
 // All deterministic: the gate is a pure function of the two terms, the
-// product construction is sequential with canonical BFS numbering, and
-// the component builds/quotients are thread-independent.
+// product construction uses canonical BFS numbering, and the component
+// builds/quotients are pure functions of the components.
 static COMPOSE_BUILDS: LazyLock<&Counter> =
     LazyLock::new(|| counter("equiv.compose.builds", Det::Deterministic));
 static COMPOSE_COMPONENTS: LazyLock<&Counter> =
@@ -90,8 +90,8 @@ static COMPOSE_STATES: LazyLock<&Counter> =
 /// through the compositional engine (with the monolithic build as the
 /// automatic fallback when the gate fails); empty, unset, `0`,
 /// `false`, `off` or `auto` keep the monolithic default; anything else
-/// warns once and stays monolithic, mirroring the `BPI_ENGINE` /
-/// `BPI_THREADS` env-parse hardening.
+/// warns once and stays monolithic, mirroring the `BPI_ENGINE`
+/// env-parse hardening.
 pub fn compose_enabled() -> bool {
     parse_compose(std::env::var("BPI_COMPOSE").ok().as_deref())
 }
@@ -130,12 +130,11 @@ impl Side {
         pool: &[Name],
         opts: crate::graph::Opts,
         budget: &Budget,
-        threads: usize,
     ) -> Result<Side, EngineError> {
         let comps = par_components(p);
         let graphs = comps
             .iter()
-            .map(|c| Graph::build_cached_threads(c, defs, pool, opts, budget, threads))
+            .map(|c| Graph::build_cached(c, defs, pool, opts, budget))
             .collect::<Result<Vec<_>, _>>()?;
         Ok(Side { comps, graphs })
     }
@@ -200,7 +199,7 @@ struct Class {
 /// (order of first occurrence) and minimizes one graph per class by
 /// the strong labelled quotient — the finest variant, sound for
 /// checking any of the six afterwards.
-fn classes_of(comps: &[P], graphs: &[Arc<Graph>], threads: usize) -> Vec<Class> {
+fn classes_of(comps: &[P], graphs: &[Arc<Graph>]) -> Vec<Class> {
     let mut ids: Vec<Consed> = Vec::new();
     let mut classes: Vec<Class> = Vec::new();
     for (c, g) in comps.iter().zip(graphs) {
@@ -210,7 +209,7 @@ fn classes_of(comps: &[P], graphs: &[Arc<Graph>], threads: usize) -> Vec<Class> 
         } else {
             ids.push(id);
             classes.push(Class {
-                g: Arc::new(quotient_threads(Variant::StrongLabelled, g, threads)),
+                g: Arc::new(quotient(Variant::StrongLabelled, g)),
                 count: 1,
             });
         }
@@ -487,7 +486,6 @@ fn composed_graph(
     pool: &[Name],
     opts: crate::graph::Opts,
     budget: &Budget,
-    threads: usize,
 ) -> Result<Arc<Graph>, EngineError> {
     let cap = opts.max_states.min(budget.max_states());
     let key = (bpi_core::cons(p), defs.generation(), pool.to_vec());
@@ -497,7 +495,7 @@ fn composed_graph(
         }
         return Ok(g.clone());
     }
-    let classes = classes_of(&side.comps, &side.graphs, threads);
+    let classes = classes_of(&side.comps, &side.graphs);
     let num_classes = classes.len();
     let g = if side.is_product() {
         Arc::new(product(&classes, pool, cap, budget)?)
@@ -553,18 +551,17 @@ pub fn try_compose_pair(
     pool: &[Name],
     opts: crate::graph::Opts,
     budget: &Budget,
-    threads: usize,
 ) -> Result<Option<ComposedPair>, EngineError> {
-    let s1 = Side::build(p, defs, pool, opts, budget, threads)?;
-    let s2 = Side::build(q, defs, pool, opts, budget, threads)?;
+    let s1 = Side::build(p, defs, pool, opts, budget)?;
+    let s2 = Side::build(q, defs, pool, opts, budget)?;
     if !s1.is_product() && !s2.is_product() {
         return Ok(None);
     }
     if !gate_ok(&[&s1, &s2]) {
         return Ok(None);
     }
-    let g1 = composed_graph(p, &s1, defs, pool, opts, budget, threads)?;
-    let g2 = composed_graph(q, &s2, defs, pool, opts, budget, threads)?;
+    let g1 = composed_graph(p, &s1, defs, pool, opts, budget)?;
+    let g2 = composed_graph(q, &s2, defs, pool, opts, budget)?;
     Ok(Some((g1, g2)))
 }
 
@@ -578,13 +575,12 @@ pub fn build_composed(
     pool: &[Name],
     opts: crate::graph::Opts,
     budget: &Budget,
-    threads: usize,
 ) -> Result<Option<Arc<Graph>>, EngineError> {
-    let side = Side::build(p, defs, pool, opts, budget, threads)?;
+    let side = Side::build(p, defs, pool, opts, budget)?;
     if !side.is_product() || !gate_ok(&[&side]) {
         return Ok(None);
     }
-    composed_graph(p, &side, defs, pool, opts, budget, threads).map(Some)
+    composed_graph(p, &side, defs, pool, opts, budget).map(Some)
 }
 
 #[cfg(test)]
@@ -640,7 +636,7 @@ mod tests {
         let opts = Opts::default();
         let pool = shared_pool(&p, &p, opts.fresh_inputs);
         let mono = Graph::build(&p, &defs, &pool, opts).expect("finite");
-        let comp = build_composed(&p, &defs, &pool, opts, &Budget::unlimited(), 1)
+        let comp = build_composed(&p, &defs, &pool, opts, &Budget::unlimited())
             .expect("within budget")
             .expect("top-level par passes the gate");
         assert!(comp.len() <= mono.len(), "symmetry must not inflate");
@@ -660,14 +656,14 @@ mod tests {
         let single = out(a, [b], nil());
         let pool = shared_pool(&single, &single, opts.fresh_inputs);
         assert!(
-            build_composed(&single, &defs, &pool, opts, &Budget::unlimited(), 1)
+            build_composed(&single, &defs, &pool, opts, &Budget::unlimited())
                 .unwrap()
                 .is_none()
         );
         let scoped = new(a, par(out_(a, []), inp_(a, [b])));
         let pool = shared_pool(&scoped, &scoped, opts.fresh_inputs);
         assert!(
-            build_composed(&scoped, &defs, &pool, opts, &Budget::unlimited(), 1)
+            build_composed(&scoped, &defs, &pool, opts, &Budget::unlimited())
                 .unwrap()
                 .is_none()
         );
@@ -683,11 +679,9 @@ mod tests {
         let defs = Defs::new();
         let opts = Opts::default();
         let pool = shared_pool(&p, &p, opts.fresh_inputs);
-        assert!(
-            build_composed(&p, &defs, &pool, opts, &Budget::unlimited(), 1)
-                .unwrap()
-                .is_none()
-        );
+        assert!(build_composed(&p, &defs, &pool, opts, &Budget::unlimited())
+            .unwrap()
+            .is_none());
     }
 
     /// Mixed input arities on one channel across the two sides decline
@@ -701,7 +695,7 @@ mod tests {
         let defs = Defs::new();
         let opts = Opts::default();
         let pool = shared_pool(&p, &q, opts.fresh_inputs);
-        let got = try_compose_pair(&p, &q, &defs, &pool, opts, &Budget::unlimited(), 1)
+        let got = try_compose_pair(&p, &q, &defs, &pool, opts, &Budget::unlimited())
             .expect("within budget");
         assert!(got.is_none(), "joint arity mix must fall back");
     }
@@ -719,11 +713,9 @@ mod tests {
         let defs = Defs::new();
         let opts = Opts::default();
         let pool = shared_pool(&p, &p, opts.fresh_inputs);
-        assert!(
-            build_composed(&p, &defs, &pool, opts, &Budget::unlimited(), 1)
-                .unwrap()
-                .is_none()
-        );
+        assert!(build_composed(&p, &defs, &pool, opts, &Budget::unlimited())
+            .unwrap()
+            .is_none());
     }
 
     /// The orbit reduction is polynomial where the monolithic space is
@@ -739,7 +731,7 @@ mod tests {
         let defs = Defs::new();
         let opts = Opts::default();
         let pool = shared_pool(&p, &p, opts.fresh_inputs);
-        let comp = build_composed(&p, &defs, &pool, opts, &Budget::unlimited(), 1)
+        let comp = build_composed(&p, &defs, &pool, opts, &Budget::unlimited())
             .expect("within budget")
             .expect("gate passes");
         let orbit_bound = (n + 1) * (n + 2) / 2;

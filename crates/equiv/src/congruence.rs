@@ -23,7 +23,6 @@ use crate::bisim::{refine_auto, Checker, RelView, Variant};
 use crate::graph::{identification_substs, shared_pool, Graph, Opts};
 use bpi_core::syntax::{Defs, P};
 use bpi_semantics::budget::{Budget, EngineError};
-use parking_lot::Mutex;
 
 /// One strict transfer step: every move of `(ga, i)` — including inputs —
 /// is matched by a move of `(gb, j)` carrying the **same label**, with
@@ -70,65 +69,15 @@ pub fn sim_plus(p: &P, q: &P, defs: &Defs, opts: Opts) -> bool {
 }
 
 /// Evaluates `check` on every identification-substitution instance of
-/// `(p, q)`, fanning the instances out across crossbeam workers when
-/// `threads > 1` (the instances are independent bisimilarity problems,
-/// and the graph memo deduplicates shared builds across them).
-///
-/// The merged answer equals the sequential in-order sweep's: outcomes
-/// are scanned in generation order and the first non-`Ok(true)` wins,
-/// so a later failure or error can never shadow an earlier one.
-fn sweep_substs<F>(p: &P, q: &P, threads: usize, check: F) -> Result<bool, EngineError>
+/// `(p, q)` in generation order; the first non-`Ok(true)` outcome wins.
+fn sweep_substs<F>(p: &P, q: &P, check: F) -> Result<bool, EngineError>
 where
-    F: Fn(&P, &P) -> Result<bool, EngineError> + Sync,
+    F: Fn(&P, &P) -> Result<bool, EngineError>,
 {
     let fns = p.free_names().union(&q.free_names());
-    let instances: Vec<(P, P)> = identification_substs(&fns)
-        .into_iter()
-        .map(|s| (s.apply_process(p), s.apply_process(q)))
-        .collect();
-    if threads <= 1 || instances.len() <= 1 {
-        for (ps, qs) in &instances {
-            if !check(ps, qs)? {
-                return Ok(false);
-            }
-        }
-        return Ok(true);
-    }
-    let chunk = instances.len().div_ceil(threads);
-    let slots: Vec<Mutex<Vec<Result<bool, EngineError>>>> = instances
-        .chunks(chunk)
-        .map(|_| Mutex::new(Vec::new()))
-        .collect();
-    let joined = crossbeam::scope(|s| {
-        for (part, slot) in instances.chunks(chunk).zip(&slots) {
-            let check = &check;
-            s.spawn(move |_| {
-                bpi_semantics::chaos::worker_tick("equiv.congruence.sweep");
-                let out: Vec<_> = part.iter().map(|(ps, qs)| check(ps, qs)).collect();
-                *slot.lock() = out;
-            });
-        }
-    });
-    if joined.is_err() {
-        // A sweep worker died (chaos-injected or real). The sweep is a
-        // pure conjunction over independent instances, so the in-order
-        // sequential pass is the canonical answer — recover on it
-        // instead of aborting the process.
-        bpi_obs::emit("equiv.congruence", "sweep_recovered", || {
-            vec![("instances", bpi_obs::Value::from(instances.len()))]
-        });
-        for (ps, qs) in &instances {
-            if !check(ps, qs)? {
-                return Ok(false);
-            }
-        }
-        return Ok(true);
-    }
-    for slot in slots {
-        for r in slot.into_inner() {
-            if !r? {
-                return Ok(false);
-            }
+    for s in identification_substs(&fns) {
+        if !check(&s.apply_process(p), &s.apply_process(q))? {
+            return Ok(false);
         }
     }
     Ok(true)
@@ -138,19 +87,7 @@ where
 /// identification substitutions of `fn(p, q)`. `Err` when any instance
 /// exhausts the state budget.
 pub fn try_congruent_strong(p: &P, q: &P, defs: &Defs, opts: Opts) -> Result<bool, EngineError> {
-    try_congruent_strong_threads(p, q, defs, opts, bpi_semantics::default_threads())
-}
-
-/// [`try_congruent_strong`] with an explicit worker-thread count for the
-/// substitution sweep. Same answer at every thread count.
-pub fn try_congruent_strong_threads(
-    p: &P,
-    q: &P,
-    defs: &Defs,
-    opts: Opts,
-    threads: usize,
-) -> Result<bool, EngineError> {
-    sweep_substs(p, q, threads, |ps, qs| try_sim_plus(ps, qs, defs, opts))
+    sweep_substs(p, q, |ps, qs| try_sim_plus(ps, qs, defs, opts))
 }
 
 /// Bool convenience for [`try_congruent_strong`]; exhaustion → `false`.
@@ -222,21 +159,7 @@ pub fn weak_sim_plus(p: &P, q: &P, defs: &Defs, opts: Opts) -> bool {
 /// `p ≈c q`: `pσ ≈₊ qσ` for all identification substitutions. `Err` when
 /// any instance exhausts the state budget.
 pub fn try_congruent_weak(p: &P, q: &P, defs: &Defs, opts: Opts) -> Result<bool, EngineError> {
-    try_congruent_weak_threads(p, q, defs, opts, bpi_semantics::default_threads())
-}
-
-/// [`try_congruent_weak`] with an explicit worker-thread count for the
-/// substitution sweep. Same answer at every thread count.
-pub fn try_congruent_weak_threads(
-    p: &P,
-    q: &P,
-    defs: &Defs,
-    opts: Opts,
-    threads: usize,
-) -> Result<bool, EngineError> {
-    sweep_substs(p, q, threads, |ps, qs| {
-        try_weak_sim_plus(ps, qs, defs, opts)
-    })
+    sweep_substs(p, q, |ps, qs| try_weak_sim_plus(ps, qs, defs, opts))
 }
 
 /// Bool convenience for [`try_congruent_weak`]; exhaustion → `false`.
@@ -374,35 +297,6 @@ mod tests {
         let p = out(a, [], tau(out_(b, [])));
         let q = out(a, [], out_(b, []));
         assert!(congruent_weak(&p, &q, &defs, o()));
-    }
-
-    #[test]
-    fn parallel_sweep_matches_sequential_verdicts() {
-        // The fan-out over identification substitutions must return the
-        // sequential answer at every thread count, on both a congruent
-        // and a non-congruent pair.
-        let defs = d();
-        let [x, y, c] = names(["x", "y", "c"]);
-        let cases: Vec<(P, P)> = vec![
-            (mat_(x, y, out_(c, [])), nil()),
-            (par(out_(c, []), nil()), out_(c, [])),
-        ];
-        for (p, q) in &cases {
-            let seq_s = try_congruent_strong_threads(p, q, &defs, o(), 1).unwrap();
-            let seq_w = try_congruent_weak_threads(p, q, &defs, o(), 1).unwrap();
-            for threads in [2, 4, 8] {
-                assert_eq!(
-                    try_congruent_strong_threads(p, q, &defs, o(), threads).unwrap(),
-                    seq_s,
-                    "strong sweep diverged at {threads} threads on {p} vs {q}"
-                );
-                assert_eq!(
-                    try_congruent_weak_threads(p, q, &defs, o(), threads).unwrap(),
-                    seq_w,
-                    "weak sweep diverged at {threads} threads on {p} vs {q}"
-                );
-            }
-        }
     }
 
     #[test]

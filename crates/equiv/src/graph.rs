@@ -28,20 +28,19 @@ use bpi_core::Consed;
 use bpi_obs::{counter, Counter, Det, Value};
 use bpi_semantics::budget::{Budget, EngineError};
 use bpi_semantics::checkpoint::{record_snapshot, CheckpointCfg, Interrupted};
-use bpi_semantics::frontier::{cell_terms, expand_frontier, renumber_bfs, Expansion};
 use bpi_semantics::lts::{tuples, Lts};
-use bpi_semantics::{input_transitions_consed, intern_state, step_transitions_consed};
+use bpi_semantics::{cell_terms, input_transitions_consed, intern_state, step_transitions_consed};
 use parking_lot::RwLock;
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
 use std::sync::{Arc, LazyLock, OnceLock};
 
-// Build metrics. Completed graphs are bit-identical between the
-// sequential and parallel constructions (canonical BFS numbering), so
+// Build metrics. Completed graphs are bit-identical between the plain
+// and checkpointed constructions (canonical BFS numbering), so
 // everything counted off a finished graph — and the state-ceiling
 // failure, which is a property of the reachable set — is deterministic.
-// Deadline/cancellation/panic failures and memo hit rates depend on
-// wall clock and process history: advisory.
+// Deadline/cancellation failures and memo hit rates depend on wall
+// clock and process history: advisory.
 static BUILDS: LazyLock<&Counter> =
     LazyLock::new(|| counter("equiv.graph.builds", Det::Deterministic));
 static BUILD_STATES: LazyLock<&Counter> =
@@ -97,7 +96,7 @@ impl Default for Opts {
 pub struct Graph {
     /// α-canonical state representatives; index 0 is the seed, and the
     /// numbering is canonical breadth-first discovery order (identical
-    /// for [`Graph::build`] and [`Graph::build_parallel`]).
+    /// for [`Graph::build`] and [`Graph::build_with_checkpoint`]).
     pub states: Vec<P>,
     /// Outgoing `τ`/output/input edges (no discard edges; see
     /// [`Graph::state_discards`]), in derivation order. The checkers read
@@ -484,9 +483,16 @@ pub fn normalize_bound_output(act: Action, cont: P, avoid: &NameSet) -> (Action,
     )
 }
 
-/// The one per-state expansion shared by every graph builder
-/// (sequential, checkpointed and parallel), so all three produce the
-/// same edge lists and discard sets by construction.
+/// One state's expansion: labelled, already interned successors in
+/// derivation order, and the pool channels the state discards.
+struct Expansion {
+    succs: Vec<(Action, Consed)>,
+    discards: NameSet,
+}
+
+/// The one per-state expansion shared by the plain and checkpointed
+/// graph builders, so both produce the same edge lists and discard sets
+/// by construction.
 struct Expander<'a> {
     lts: Lts<'a>,
     pool: &'a [Name],
@@ -505,7 +511,7 @@ impl<'a> Expander<'a> {
     /// Expands `src`: its step successors, bound outputs renamed to
     /// `#b` representatives, then its input successors over the dynamic
     /// pool, each interned once; and the pool channels `src` discards.
-    fn expand(&self, src: &Consed) -> Expansion<Action, NameSet> {
+    fn expand(&self, src: &Consed) -> Expansion {
         let src_free = src.free_names();
         // Dynamic pool: the global pool plus extruded representatives
         // that became free in this state, so later inputs can mention
@@ -539,7 +545,10 @@ impl<'a> Expander<'a> {
                 disc.insert(a);
             }
         }
-        Expansion { succs, meta: disc }
+        Expansion {
+            succs,
+            discards: disc,
+        }
     }
 }
 
@@ -600,7 +609,7 @@ impl Graph {
         index.insert(s0.clone(), 0);
         states.push(s0);
         // FIFO expansion: state numbering is then canonical breadth-first
-        // discovery order, the same order `build_parallel` renumbers to.
+        // discovery order.
         let mut work = VecDeque::from([0usize]);
 
         while let Some(i) = work.pop_front() {
@@ -628,7 +637,7 @@ impl Graph {
                 discarding.push(NameSet::new());
             }
             edges[i] = out;
-            discarding[i] = exp.meta;
+            discarding[i] = exp.discards;
         }
         // `states` may outrun `edges` when the last expansions created
         // fresh states; pad (they are processed because `work` drains).
@@ -790,7 +799,7 @@ impl Graph {
                 discarding.push(NameSet::new());
             }
             edges[i] = out;
-            discarding[i] = exp.meta;
+            discarding[i] = exp.discards;
             cfg.maybe_snapshot(states.len() - pending.len(), || snapshot!());
         }
         Ok(Graph::from_parts(
@@ -872,59 +881,6 @@ impl Graph {
         g
     }
 
-    /// [`Graph::build_with_budget`] across `threads` crossbeam workers,
-    /// reusing the shared frontier machinery of
-    /// [`bpi_semantics::frontier`]. The outcome is **bit-for-bit
-    /// identical** to the sequential build: per-state expansion is a pure
-    /// function of the state (so edge lists and discard sets agree), and
-    /// a canonical breadth-first renumber erases the scheduling-dependent
-    /// discovery order. Budget semantics replay exactly — exceeding the
-    /// state ceiling is a property of the reachable set, not of the
-    /// schedule, so the same typed error comes back at any thread count
-    /// (deadline/cancellation remain timing-dependent, as sequentially).
-    pub fn build_parallel(
-        seed: &P,
-        defs: &Defs,
-        pool: &[Name],
-        opts: Opts,
-        budget: &Budget,
-        threads: usize,
-    ) -> Result<Graph, EngineError> {
-        let threads = threads.max(1);
-        if threads == 1 {
-            return Graph::build_with_budget(seed, defs, pool, opts, budget);
-        }
-        let _span = bpi_obs::span("equiv.graph", "build_parallel");
-        let expander = Expander::new(defs, pool);
-        let cap = opts.max_states.min(budget.max_states());
-        let outcome = expand_frontier(
-            intern_state(seed, None),
-            cap,
-            budget,
-            threads,
-            /* stop_on_cap */ true,
-            |src| expander.expand(src),
-        );
-        if let Some(e) = outcome.interrupted {
-            if matches!(e, EngineError::WorkerPanicked) && bpi_semantics::chaos::is_active() {
-                // A chaos-injected worker panic, not a real engine fault:
-                // fall back to the bit-identical sequential build without
-                // recording the doomed attempt, so a chaos run leaves the
-                // same deterministic counter trail as a calm one.
-                return Graph::build_with_budget(seed, defs, pool, opts, budget);
-            }
-            record_build_err(&e);
-            return Err(e);
-        }
-        let outcome = renumber_bfs(outcome);
-        Ok(Graph::from_parts(
-            outcome.states,
-            outcome.edges,
-            outcome.metas,
-            pool.to_vec(),
-        ))
-    }
-
     /// [`Graph::build_with_budget`] through a global memo keyed by
     /// *(consed seed, defs generation, pool)*: the six bisimulation
     /// variants, the congruence layer, distinguishing-formula extraction
@@ -941,21 +897,6 @@ impl Graph {
         pool: &[Name],
         opts: Opts,
         budget: &Budget,
-    ) -> Result<Arc<Graph>, EngineError> {
-        Graph::build_cached_threads(seed, defs, pool, opts, budget, 1)
-    }
-
-    /// [`Graph::build_cached`] building cache misses with
-    /// [`Graph::build_parallel`] across `threads` workers. Because the
-    /// parallel build is bit-for-bit identical to the sequential one, the
-    /// memo may be shared freely between thread counts.
-    pub fn build_cached_threads(
-        seed: &P,
-        defs: &Defs,
-        pool: &[Name],
-        opts: Opts,
-        budget: &Budget,
-        threads: usize,
     ) -> Result<Arc<Graph>, EngineError> {
         budget.check(0)?;
         // Chaos injection point: a seeded delay widens the window between
@@ -974,9 +915,7 @@ impl Graph {
             return Ok(g.clone());
         }
         MEMO_MISSES.inc();
-        let g = Arc::new(Graph::build_parallel(
-            seed, defs, pool, opts, budget, threads,
-        )?);
+        let g = Arc::new(Graph::build_with_budget(seed, defs, pool, opts, budget)?);
         let mut memo = GRAPH_MEMO.write();
         if memo.len() >= GRAPH_MEMO_CAP {
             memo.clear();
@@ -1495,60 +1434,6 @@ mod tests {
         };
         assert!(g.csr().label_id(&alien).is_none());
         assert!(g.weak_label(0, &alien).is_empty());
-    }
-
-    #[test]
-    fn build_parallel_is_bit_identical_to_sequential() {
-        let defs = Defs::new();
-        let [a, b, x] = names(["a", "b", "x"]);
-        let p = par(
-            inp(a, [x], out_(x, [])),
-            par(
-                out(a, [b], out_(b, [])),
-                sum(tau(out_(a, [])), inp_(b, [x])),
-            ),
-        );
-        let pool = shared_pool(&p, &nil(), 1);
-        let g1 = Graph::build(&p, &defs, &pool, Opts::default()).unwrap();
-        for threads in [2, 4] {
-            let g2 = Graph::build_parallel(
-                &p,
-                &defs,
-                &pool,
-                Opts::default(),
-                &Budget::unlimited(),
-                threads,
-            )
-            .unwrap();
-            assert_eq!(g1.states, g2.states, "threads={threads}");
-            assert_eq!(g1.edges, g2.edges, "threads={threads}");
-            assert_eq!(
-                g1.discarding.iter().map(|d| d.to_vec()).collect::<Vec<_>>(),
-                g2.discarding.iter().map(|d| d.to_vec()).collect::<Vec<_>>(),
-                "threads={threads}"
-            );
-        }
-    }
-
-    #[test]
-    fn build_parallel_replays_budget_errors() {
-        let defs = Defs::new();
-        let [a] = names(["a"]);
-        let xid = bpi_core::syntax::Ident::new("GPumpPar");
-        let p = rec(xid, [a], tau(par(out_(a, []), var(xid, [a]))), [a]);
-        let pool = shared_pool(&p, &nil(), 1);
-        let seq = Graph::build_with_budget(&p, &defs, &pool, Opts::default(), &Budget::states(4));
-        for threads in [2, 4] {
-            let par = Graph::build_parallel(
-                &p,
-                &defs,
-                &pool,
-                Opts::default(),
-                &Budget::states(4),
-                threads,
-            );
-            assert_eq!(par.as_ref().err(), seq.as_ref().err(), "threads={threads}");
-        }
     }
 
     #[test]

@@ -72,14 +72,8 @@ fn completed_builds_match_the_golden_texts() {
             &CheckpointCfg::default(),
         )
         .expect("golden build completes");
-        let sequential = Graph::build(&p, &defs, &pool, Opts::default()).unwrap();
-        let parallel =
-            Graph::build_parallel(&p, &defs, &pool, Opts::default(), &budget, 2).unwrap();
-        for (builder, g) in [
-            ("checkpointed", &checkpointed),
-            ("sequential", &sequential),
-            ("parallel", &parallel),
-        ] {
+        let plain = Graph::build(&p, &defs, &pool, Opts::default()).unwrap();
+        for (builder, g) in [("checkpointed", &checkpointed), ("plain", &plain)] {
             assert_eq!(
                 GraphCheckpoint::of_graph(g).to_text(),
                 complete,

@@ -272,7 +272,7 @@ fn legacy_pairwise_refine_sections_still_resume() {
         // The pairwise engine interrupted after one round, wrapped the
         // way the pre-dispatch pipeline wrapped it.
         let fuel = CheckpointCfg::fuelled(1);
-        let rck = match refine_budgeted(v, &g1, &g2, 1, &Budget::unlimited(), &fuel) {
+        let rck = match refine_budgeted(v, &g1, &g2, &Budget::unlimited(), &fuel) {
             Err(i) => i.checkpoint,
             Ok(_) => panic!("{v:?}: one round of fuel must interrupt"),
         };

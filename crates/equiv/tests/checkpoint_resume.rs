@@ -8,18 +8,12 @@
 //!   round — driven by the cooperative fuel countdown) and resuming from
 //!   the serialised checkpoint yields the same fixpoint relation and the
 //!   same deterministic `bpi-obs` counter deltas as the uninterrupted
-//!   run, across all six variants and threads 1/2/4, including for
-//!   processes wrapped in PR 1's fault combinators.
-//! * **Panics are typed, never aborts.** A poisoned refinement chunk
-//!   (chaos `panic_prob = 1`) surfaces as
-//!   [`EngineError::WorkerPanicked`] with a usable checkpoint from the
-//!   budgeted engine, and the total parallel engine transparently
-//!   recovers on its sequential path.
-//! * **Chaos is invisible too.** A seeded [`ChaosPlan`] perturbs
-//!   scheduling and injects recoverable faults, but verdicts and
+//!   run, across all six variants, including for processes wrapped in
+//!   the fault combinators of `bpi_semantics::faults`.
+//! * **Chaos is invisible too.** A seeded [`ChaosPlan`] injects delays
+//!   and supervisor-armed budget pressure, but verdicts and
 //!   deterministic counters match a quiet run, and the injection log
-//!   replays bit-identically for the same seed on a single-threaded
-//!   workload.
+//!   replays bit-identically for the same seed.
 //!
 //! The metrics registry and the chaos plan are process-global, so every
 //! test serialises on [`LOCK`].
@@ -29,8 +23,8 @@ use bpi_core::name::Name;
 use bpi_core::syntax::{Defs, P};
 use bpi_equiv::arbitrary::{Gen, GenCfg};
 use bpi_equiv::{
-    partition_safe, refine, refine_auto, refine_budgeted, refine_parallel, refine_resume,
-    shared_pool, Checker, Checkpoint, Graph, Opts, RefineSnapshot, Variant,
+    partition_safe, refine_auto, refine_budgeted, shared_pool, Checker, Checkpoint, Graph, Opts,
+    RefineSnapshot, Variant,
 };
 use bpi_obs::CounterDelta;
 use bpi_semantics::chaos::{self, ChaosPlan};
@@ -52,9 +46,6 @@ const ALL: [Variant; 6] = [
     Variant::WeakStep,
     Variant::WeakLabelled,
 ];
-
-/// The thread counts the CI matrix exercises via `BPI_THREADS`.
-const THREADS: [usize; 3] = [1, 2, 4];
 
 /// Upper bound on the fuel sweep — generously above any boundary count
 /// the small pairs can have, so a non-terminating sweep fails loudly.
@@ -84,8 +75,6 @@ fn variants() -> Vec<(P, P)> {
 }
 
 /// A chain of `n` output prefixes: an `n + 1`-state deterministic graph.
-/// Two of these give a pair product large enough (≥ `PAR_ROUND_MIN`)
-/// for the refinement chunk workers to actually spawn.
 fn chain(n: usize, a: Name, b: Name) -> P {
     (0..n).fold(nil(), |p, _| out(a, [b], p))
 }
@@ -126,7 +115,7 @@ fn run_and_resume(
 /// interrupting at **every** feasible pipeline boundary (fuel = 1, 2, …
 /// until the run completes) and resuming from the serialised checkpoint
 /// yields the same relation and the same deterministic counter delta as
-/// the straight run, for all six variants at threads 1/2/4.
+/// the straight run, for all six variants.
 #[test]
 fn interrupt_at_every_boundary_and_resume_matches_straight_run() {
     let _g = lock();
@@ -143,50 +132,40 @@ fn interrupt_at_every_boundary_and_resume_matches_straight_run() {
             });
             let reference = reference.unwrap();
             assert_eq!(ref_delta.get("equiv.refine.runs"), Some(&1));
-            for threads in THREADS {
-                let ct = Checker::new(&d).with_threads(threads);
-                let mut completed = false;
-                for fuel in 1..FUEL_CAP {
-                    let mut outcome = None;
-                    let delta = det_delta(|| {
-                        outcome = Some(run_and_resume(
-                            &ct,
-                            v,
-                            &p,
-                            &q,
-                            &CheckpointCfg::fuelled(fuel),
-                        ));
-                    });
-                    let (got, interrupted) = outcome.unwrap();
-                    assert_eq!(
-                        got, reference,
-                        "fuel={fuel} threads={threads} {v:?} changed the fixpoint on {p} vs {q}"
-                    );
-                    assert_eq!(
-                        delta, ref_delta,
-                        "fuel={fuel} threads={threads} {v:?} perturbed deterministic \
-                         counters on {p} vs {q}"
-                    );
-                    if !interrupted {
-                        completed = true;
-                        break;
-                    }
-                }
-                assert!(
-                    completed,
-                    "{v:?} on {p} vs {q} never completed within {FUEL_CAP} fuel"
+            let mut completed = false;
+            for fuel in 1..FUEL_CAP {
+                let mut outcome = None;
+                let delta = det_delta(|| {
+                    outcome = Some(run_and_resume(&c, v, &p, &q, &CheckpointCfg::fuelled(fuel)));
+                });
+                let (got, interrupted) = outcome.unwrap();
+                assert_eq!(
+                    got, reference,
+                    "fuel={fuel} {v:?} changed the fixpoint on {p} vs {q}"
                 );
+                assert_eq!(
+                    delta, ref_delta,
+                    "fuel={fuel} {v:?} perturbed deterministic counters on {p} vs {q}"
+                );
+                if !interrupted {
+                    completed = true;
+                    break;
+                }
             }
+            assert!(
+                completed,
+                "{v:?} on {p} vs {q} never completed within {FUEL_CAP} fuel"
+            );
         }
     }
 }
 
 /// The acceptance-scale differential: 200 seeded random pairs × all six
-/// variants × threads 1/2/4, each interrupted once at a varying boundary
-/// and resumed through the text codec. Verdict and deterministic
-/// counters must match the straight run in every case.
+/// variants, each interrupted once at a varying boundary and resumed
+/// through the text codec. Verdict and deterministic counters must
+/// match the straight run in every case.
 #[test]
-fn random_pairs_resume_differential_200x6x3() {
+fn random_pairs_resume_differential_200x6() {
     let _g = lock();
     let d = Defs::new();
     let cfg = GenCfg::finite_monadic(names(["a", "b"]).to_vec());
@@ -207,24 +186,19 @@ fn random_pairs_resume_differential_200x6x3() {
             // whole lands on build-left, build-right and refine
             // boundaries.
             let fuel = 1 + (i + vi) % 9;
-            for threads in THREADS {
-                let ct = Checker::new(&d).with_threads(threads);
-                let mut got = None;
-                let delta = det_delta(|| {
-                    got = Some(run_and_resume(&ct, v, &p, &q, &CheckpointCfg::fuelled(fuel)).0);
-                });
-                assert_eq!(
-                    got.as_ref(),
-                    Some(&reference),
-                    "pair #{i} {v:?} threads={threads} fuel={fuel}: resumed fixpoint \
-                     diverged on {p} vs {q}"
-                );
-                assert_eq!(
-                    delta, ref_delta,
-                    "pair #{i} {v:?} threads={threads} fuel={fuel}: deterministic \
-                     counters diverged on {p} vs {q}"
-                );
-            }
+            let mut got = None;
+            let delta = det_delta(|| {
+                got = Some(run_and_resume(&c, v, &p, &q, &CheckpointCfg::fuelled(fuel)).0);
+            });
+            assert_eq!(
+                got.as_ref(),
+                Some(&reference),
+                "pair #{i} {v:?} fuel={fuel}: resumed fixpoint diverged on {p} vs {q}"
+            );
+            assert_eq!(
+                delta, ref_delta,
+                "pair #{i} {v:?} fuel={fuel}: deterministic counters diverged on {p} vs {q}"
+            );
         }
     }
 }
@@ -253,11 +227,9 @@ fn resume_differential_under_fault_combinators() {
             });
             let reference = reference.unwrap();
             let fuel = 1 + (fi + vi) % 7;
-            let threads = THREADS[(fi + vi) % THREADS.len()];
-            let ct = Checker::new(&d).with_threads(threads);
             let mut got = None;
             let delta = det_delta(|| {
-                got = Some(run_and_resume(&ct, v, p, q, &CheckpointCfg::fuelled(fuel)).0);
+                got = Some(run_and_resume(&c, v, p, q, &CheckpointCfg::fuelled(fuel)).0);
             });
             assert_eq!(
                 got.as_ref(),
@@ -278,8 +250,7 @@ proptest! {
     /// Satellite 3 as a property: for seeded random pairs (optionally
     /// fault-instrumented with PR 1's combinators), interrupting at
     /// *every* feasible state/round boundary and resuming is invisible —
-    /// same fixpoint, same deterministic counter deltas — at threads
-    /// 1, 2 and 4.
+    /// same fixpoint, same deterministic counter deltas.
     #[test]
     fn prop_interrupt_anywhere_resume_is_invisible(seed in 0u64..1_000_000) {
         let _g = lock();
@@ -309,145 +280,36 @@ proptest! {
             reference = Some(rel.rel);
         });
         let reference = reference.unwrap();
-        for threads in THREADS {
-            let ct = Checker::new(&d).with_threads(threads);
-            let mut completed = false;
-            for fuel in 1..FUEL_CAP {
-                let mut outcome = None;
-                let delta = det_delta(|| {
-                    outcome = Some(run_and_resume(&ct, v, &p, &q, &CheckpointCfg::fuelled(fuel)));
-                });
-                let (got, interrupted) = outcome.unwrap();
-                prop_assert_eq!(
-                    &got, &reference,
-                    "seed={} fuel={} threads={} {:?}: fixpoint diverged",
-                    seed, fuel, threads, v
-                );
-                prop_assert_eq!(
-                    &delta, &ref_delta,
-                    "seed={} fuel={} threads={} {:?}: deterministic counters diverged",
-                    seed, fuel, threads, v
-                );
-                if !interrupted {
-                    completed = true;
-                    break;
-                }
+        let mut completed = false;
+        for fuel in 1..FUEL_CAP {
+            let mut outcome = None;
+            let delta = det_delta(|| {
+                outcome = Some(run_and_resume(&c, v, &p, &q, &CheckpointCfg::fuelled(fuel)));
+            });
+            let (got, interrupted) = outcome.unwrap();
+            prop_assert_eq!(
+                &got, &reference,
+                "seed={} fuel={} {:?}: fixpoint diverged",
+                seed, fuel, v
+            );
+            prop_assert_eq!(
+                &delta, &ref_delta,
+                "seed={} fuel={} {:?}: deterministic counters diverged",
+                seed, fuel, v
+            );
+            if !interrupted {
+                completed = true;
+                break;
             }
-            prop_assert!(completed, "seed={} never completed within {} fuel", seed, FUEL_CAP);
         }
+        prop_assert!(completed, "seed={} never completed within {} fuel", seed, FUEL_CAP);
     }
 }
 
-/// Satellite 1 regression: a deliberately poisoned refinement chunk
-/// (chaos `panic_prob = 1` at `equiv.refine.chunk`) yields the typed
-/// [`EngineError::WorkerPanicked`] with a usable checkpoint from the
-/// budgeted engine — never an abort — and the total parallel engine
-/// recovers by re-running the round on its sequential path.
-#[test]
-fn poisoned_chunk_is_typed_error_with_usable_checkpoint_not_abort() {
-    let _g = lock();
-    let d = Defs::new();
-    let [a, b] = names(["a", "b"]);
-    let p = chain(45, a, b);
-    let opts = Opts::default();
-    let pool = shared_pool(&p, &p, opts.fresh_inputs);
-    let g1 = Graph::build(&p, &d, &pool, opts).expect("finite");
-    let g2 = Graph::build(&p, &d, &pool, opts).expect("finite");
-    assert!(
-        g1.len() * g2.len() >= 2048,
-        "need a product big enough for chunk workers to spawn, got {}",
-        g1.len() * g2.len()
-    );
-    let want = refine(Variant::StrongBarbed, &g1, &g2);
-
-    chaos::clear();
-    chaos::install(
-        ChaosPlan::new(42)
-            .panic_prob(1.0)
-            .delay_prob(0.0)
-            .pressure_prob(0.0)
-            .max_injections(64),
-    );
-    // Budgeted engine: the panic surfaces typed, with a checkpoint.
-    let err = refine_budgeted(
-        Variant::StrongBarbed,
-        &g1,
-        &g2,
-        4,
-        &Budget::unlimited(),
-        &CheckpointCfg::default(),
-    )
-    .err()
-    .expect("probability-1 chunk panics must interrupt the budgeted engine");
-    assert_eq!(err.error, EngineError::WorkerPanicked);
-    // Total engine: chunk panics are absorbed by the sequential re-run.
-    let recovered = refine_parallel(Variant::StrongBarbed, &g1, &g2, 4);
-    let log = chaos::clear();
-    assert!(log.panics() >= 1, "the chunk site never fired: {log:?}");
-    assert_eq!(
-        recovered.rel, want.rel,
-        "parallel engine diverged while recovering from chunk panics"
-    );
-    // The checkpoint is usable: a quiet resume reaches the true fixpoint.
-    let resumed = refine_resume(
-        Variant::StrongBarbed,
-        &g1,
-        &g2,
-        4,
-        &Budget::unlimited(),
-        &CheckpointCfg::default(),
-        err.checkpoint,
-    )
-    .unwrap_or_else(|i| panic!("quiet resume interrupted: {}", i.error));
-    assert_eq!(resumed.rel, want.rel, "resumed fixpoint diverged");
-}
-
-/// The supervisor turns repeated chunk panics into a verdict: with chaos
-/// injecting worker panics (bounded), `check_supervised` retries from
-/// checkpoints until the injection budget runs dry and still answers
-/// `Holds` — the analysis never aborts and never answers wrongly. The
-/// product mixes input arities on one channel, so the pipeline refines
-/// it on the pairwise fallback, whose chunk workers spawn at 4 threads.
-#[test]
-fn supervised_check_absorbs_injected_worker_panics() {
-    let _g = lock();
-    let d = Defs::new();
-    let [a, b, c, x, y] = names(["a", "b", "c", "x", "y"]);
-    let p = sum(
-        chain(45, a, b),
-        sum(inp(c, [x], nil()), inp(c, [x, y], nil())),
-    );
-    let opts = Opts::default();
-    let pool = shared_pool(&p, &p, opts.fresh_inputs);
-    let g = Graph::build(&p, &d, &pool, opts).expect("finite");
-    assert!(!partition_safe(&g, &g), "the product must be mixed-arity");
-    assert!(
-        g.len() * g.len() >= 2048,
-        "need a product big enough for chunk workers to spawn, got {}",
-        g.len() * g.len()
-    );
-    chaos::clear();
-    chaos::install(
-        ChaosPlan::new(7)
-            .panic_prob(1.0)
-            .delay_prob(0.0)
-            .pressure_prob(0.0)
-            .max_injections(6),
-    );
-    let c = Checker::new(&d).with_threads(4);
-    let verdict = c.check_supervised(Variant::StrongBarbed, &p, &p, 8);
-    let log = chaos::clear();
-    assert!(log.panics() >= 1, "chaos never fired: {log:?}");
-    assert!(
-        verdict.holds(),
-        "a reflexive pair must still hold under injected panics: {verdict:?}"
-    );
-}
-
-/// The partition-safe twin: `chain(45)` against itself refines on the
-/// partition engine, which spawns no workers, so chaos injects budget
-/// pressure instead (strong labelled, so refinement peels the chain one
-/// block per round and runs long enough to be hit). The supervisor
+/// Supervised checks recover from budget pressure on the partition
+/// engine: `chain(45)` against itself refines there (strong labelled,
+/// so refinement peels the chain one block per round and runs long
+/// enough to be hit by injected pressure). The supervisor
 /// resumes from the partition snapshot each pressure stop leaves and
 /// still answers `Holds`.
 #[test]
@@ -459,7 +321,6 @@ fn supervised_check_resumes_from_partition_snapshots_under_pressure() {
     chaos::clear();
     chaos::install(
         ChaosPlan::new(11)
-            .panic_prob(0.0)
             .delay_prob(0.0)
             .pressure_prob(0.1)
             .max_injections(20),
@@ -577,33 +438,6 @@ fn partition_pipeline_interrupts_anywhere_and_resumes_invisibly() {
     }
 }
 
-/// The congruence sweep's fan-out recovers from poisoned workers on its
-/// sequential path — same verdict as the single-threaded sweep, no
-/// abort.
-#[test]
-fn congruence_sweep_recovers_from_poisoned_workers() {
-    let _g = lock();
-    let d = Defs::new();
-    let [x, y, c] = names(["x", "y", "c"]);
-    let p = mat_(x, y, out_(c, []));
-    let q = nil();
-    chaos::clear();
-    let want = bpi_equiv::try_congruent_strong_threads(&p, &q, &d, Opts::default(), 1)
-        .expect("sequential sweep");
-    chaos::install(
-        ChaosPlan::new(5)
-            .panic_prob(1.0)
-            .delay_prob(0.0)
-            .pressure_prob(0.0)
-            .max_injections(8),
-    );
-    let got = bpi_equiv::try_congruent_strong_threads(&p, &q, &d, Opts::default(), 4)
-        .expect("the sweep must recover, not abort");
-    let log = chaos::clear();
-    assert!(log.panics() >= 1, "the sweep site never fired: {log:?}");
-    assert_eq!(got, want, "recovered sweep verdict diverged");
-}
-
 /// A supervised `Fails` verdict carries distinguishing evidence pulled
 /// from the fixpoint already in hand (no re-run).
 #[test]
@@ -622,10 +456,11 @@ fn supervised_fails_verdict_carries_an_experiment() {
     }
 }
 
-/// Chaos invisibility: a workload that exercises the frontier workers,
-/// the refinement chunk workers and the checkpointed pipeline produces
-/// identical verdicts and identical deterministic counter deltas with a
-/// seeded chaos plan installed as it does on a quiet run.
+/// Chaos invisibility: a workload that exercises graph builds, the
+/// round engine, the checkpointed pipeline and supervised checks
+/// produces identical verdicts and identical deterministic counter
+/// deltas with a seeded chaos plan (delays, and pressure wherever a
+/// supervisor arms it) installed as it does on a quiet run.
 #[test]
 fn chaos_run_matches_quiet_run_bit_for_bit() {
     let _g = lock();
@@ -636,20 +471,31 @@ fn chaos_run_matches_quiet_run_bit_for_bit() {
     let pool = shared_pool(&big, &big, opts.fresh_inputs);
     let workload = || {
         let mut verdicts: Vec<Vec<Vec<bool>>> = Vec::new();
-        // Parallel build (frontier worker_tick sites) + parallel
-        // refinement (chunk worker_tick sites) on the big product.
-        let g1 =
-            Graph::build_parallel(&big, &d, &pool, opts, &Budget::unlimited(), 4).expect("finite");
+        // Builds (step-memo and interning delay sites) and the round
+        // engine on the big product.
+        let g1 = Graph::build(&big, &d, &pool, opts).expect("finite");
         let g2 = Graph::build(&big, &d, &pool, opts).expect("finite");
-        verdicts.push(refine_parallel(Variant::StrongBarbed, &g1, &g2, 4).rel);
-        // The checkpointed pipeline on the structured pairs.
-        let c = Checker::new(&d).with_threads(2);
+        let rounds = refine_budgeted(
+            Variant::StrongBarbed,
+            &g1,
+            &g2,
+            &Budget::unlimited(),
+            &CheckpointCfg::default(),
+        )
+        .expect("unarmed pressure never fires");
+        verdicts.push(rounds.rel);
+        // The checkpointed pipeline on the structured pairs, plain and
+        // supervised (pressure sites armed). More attempts than the
+        // plan's injection cap, so pressure can never exhaust them.
+        let c = Checker::new(&d);
         for (p, q) in variants() {
             for v in [Variant::StrongLabelled, Variant::WeakLabelled] {
                 let (_, _, rel) = c
                     .run_with_checkpoint(v, &p, &q, &CheckpointCfg::default())
                     .unwrap_or_else(|e| panic!("inert cfg interrupted: {}", e.error));
                 verdicts.push(rel.rel);
+                let supervised = c.check_supervised(v, &p, &q, 32);
+                verdicts.push(vec![vec![supervised.holds()]]);
             }
         }
         verdicts
@@ -661,7 +507,12 @@ fn chaos_run_matches_quiet_run_bit_for_bit() {
     chaos::install(ChaosPlan::new(2026).max_injections(16));
     let mut noisy = None;
     let noisy_delta = det_delta(|| noisy = Some(workload()));
-    chaos::clear();
+    let log = chaos::clear();
+    assert!(log.pressures() >= 1, "pressure never fired: {log:?}");
+    assert!(
+        log.events.len() > log.pressures(),
+        "no delay fired: {log:?}"
+    );
     assert_eq!(noisy, quiet, "chaos changed a verdict");
     assert_eq!(
         noisy_delta, quiet_delta,
@@ -669,8 +520,8 @@ fn chaos_run_matches_quiet_run_bit_for_bit() {
     );
 }
 
-/// Chaos replay: on a single-threaded supervised workload, the same seed
-/// fires the same injections at the same per-site ordinals — the log is
+/// Chaos replay: on a supervised workload, the same seed fires the
+/// same injections at the same per-site ordinals — the log is
 /// bit-identical across runs — and the supervised verdict still matches
 /// the quiet one despite injected budget pressure.
 #[test]
@@ -682,21 +533,16 @@ fn chaos_log_replays_deterministically_for_the_same_seed() {
     let q = out(a, [b], out_(b, []));
     chaos::clear();
     let quiet = Checker::new(&d)
-        .with_threads(1)
         .check_supervised(Variant::WeakLabelled, &p, &q, 8)
         .holds();
     let run = |seed: u64| {
         chaos::install(
             ChaosPlan::new(seed)
-                .panic_prob(0.0)
                 .delay_prob(0.0)
                 .pressure_prob(0.6)
                 .max_injections(4),
         );
-        let verdict =
-            Checker::new(&d)
-                .with_threads(1)
-                .check_supervised(Variant::WeakLabelled, &p, &q, 8);
+        let verdict = Checker::new(&d).check_supervised(Variant::WeakLabelled, &p, &q, 8);
         let log = chaos::clear();
         assert_eq!(
             verdict.holds(),

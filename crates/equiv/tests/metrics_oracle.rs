@@ -3,21 +3,21 @@
 //! The metrics registry splits counters into **deterministic** ones —
 //! pure functions of the engines' deterministic *results* (graph sizes,
 //! fixpoint relations, typed budget errors) — and **advisory** ones that
-//! may legitimately vary with scheduling (memo hit rates, sweep/pop/
-//! round counts, chunk shapes). The contract locked down here: the
+//! may legitimately vary with the engine or process history (memo hit
+//! rates, sweep/pop/round counts). The contract locked down here: the
 //! deterministic counter *deltas* of a run are pointwise bit-identical
-//! across all three refinement engines and across thread counts 1/2/4
-//! (the values `BPI_THREADS` takes in CI), including runs that end in
-//! budget exhaustion, and an active trace sink never perturbs either
-//! the counters or the typed error semantics.
+//! across the refinement engines and across the plain and checkpointed
+//! graph builders, runs that end in budget exhaustion replay the same
+//! deltas, and an active trace sink never perturbs either the counters
+//! or the typed error semantics.
 //!
 //! The registry is process-global, so every test serialises on [`LOCK`].
 
 use bpi_core::builder::*;
 use bpi_core::syntax::{Defs, Ident, P};
-use bpi_equiv::{refine, refine_parallel, refine_worklist, shared_pool, Graph, Opts, Variant};
+use bpi_equiv::{refine, refine_budgeted, refine_worklist, shared_pool, Graph, Opts, Variant};
 use bpi_obs::{CounterDelta, MemorySink};
-use bpi_semantics::{Budget, EngineError};
+use bpi_semantics::{Budget, CheckpointCfg, EngineError};
 use std::sync::Mutex;
 
 static LOCK: Mutex<()> = Mutex::new(());
@@ -34,9 +34,6 @@ const ALL: [Variant; 6] = [
     Variant::WeakStep,
     Variant::WeakLabelled,
 ];
-
-/// The thread counts the CI matrix exercises via `BPI_THREADS`.
-const THREADS: [usize; 3] = [1, 2, 4];
 
 /// Six structurally distinct process pairs covering output, input, sum,
 /// parallel, restriction and matching (the same shapes the hnf and
@@ -80,9 +77,9 @@ fn det_delta(f: impl FnOnce()) -> CounterDelta {
 /// The tentpole differential: for each process pair and each of the six
 /// bisimilarity variants, the deterministic counter delta of a
 /// refinement run is pointwise identical across the naive sweep, the
-/// worklist engine and the parallel engine at threads 1, 2 and 4.
+/// worklist engine and the budgeted round engine.
 #[test]
-fn deterministic_counters_identical_across_engines_and_threads() {
+fn deterministic_counters_identical_across_engines() {
     let _g = lock();
     let defs = Defs::new();
     for (p, q) in variants() {
@@ -100,25 +97,23 @@ fn deterministic_counters_identical_across_engines_and_threads() {
                 worklist, reference,
                 "worklist {v:?} counter delta diverged on {p} vs {q}"
             );
-            for threads in THREADS {
-                let parallel = det_delta(|| {
-                    refine_parallel(v, &g1, &g2, threads);
-                });
-                assert_eq!(
-                    parallel, reference,
-                    "parallel({threads}) {v:?} counter delta diverged on {p} vs {q}"
-                );
-            }
+            let rounds = det_delta(|| {
+                refine_budgeted(v, &g1, &g2, &Budget::unlimited(), &CheckpointCfg::default())
+                    .expect("an unlimited budget completes");
+            });
+            assert_eq!(
+                rounds, reference,
+                "budgeted {v:?} counter delta diverged on {p} vs {q}"
+            );
         }
     }
 }
 
-/// Graph construction: the sequential builder and the frontier-parallel
-/// builder count the same states, edges, labels and channels — the
-/// CSR-freeze statistics are functions of the finished graph, not of
-/// the discovery schedule.
+/// Graph construction: the plain builder and the checkpointed builder
+/// count the same states, edges, labels and channels — the CSR-freeze
+/// statistics are functions of the finished graph, not of the builder.
 #[test]
-fn graph_build_counters_identical_across_threads() {
+fn graph_build_counters_identical_across_builders() {
     let _g = lock();
     let defs = Defs::new();
     for (p, _) in variants() {
@@ -129,22 +124,27 @@ fn graph_build_counters_identical_across_threads() {
         });
         assert_eq!(reference.get("equiv.graph.builds"), Some(&1));
         assert!(reference.contains_key("equiv.graph.states"));
-        for threads in [2, 4] {
-            let par = det_delta(|| {
-                Graph::build_parallel(&p, &defs, &pool, opts, &Budget::unlimited(), threads)
-                    .expect("finite");
-            });
-            assert_eq!(
-                par, reference,
-                "build_parallel({threads}) counter delta diverged on {p}"
-            );
-        }
+        let checkpointed = det_delta(|| {
+            Graph::build_with_checkpoint(
+                &p,
+                &defs,
+                &pool,
+                opts,
+                &Budget::unlimited(),
+                &CheckpointCfg::default(),
+            )
+            .expect("finite");
+        });
+        assert_eq!(
+            checkpointed, reference,
+            "checkpointed build counter delta diverged on {p}"
+        );
     }
 }
 
 /// Budget exhaustion replays exactly: the same typed error and the same
-/// deterministic counters up to the failure point, at every thread
-/// count. A failed build counts one `exhausted` and **no** completed
+/// deterministic counters up to the failure point, on every run. A
+/// failed build counts one `exhausted` and **no** completed
 /// builds/states/edges.
 #[test]
 fn budget_exhaustion_replays_identical_counters() {
@@ -167,26 +167,24 @@ fn budget_exhaustion_replays_identical_counters() {
     assert_eq!(reference.get("equiv.graph.builds"), None);
     assert_eq!(reference.get("equiv.graph.states"), None);
 
-    for threads in THREADS {
-        let mut par_err = None;
-        let par = det_delta(|| {
-            par_err = Graph::build_parallel(&pump, &defs, &pool, opts, &budget, threads).err();
-        });
-        assert_eq!(
-            par_err,
-            Some(expected_err.clone()),
-            "typed error diverged at {threads} threads"
-        );
-        assert_eq!(
-            par, reference,
-            "exhaustion counter delta diverged at {threads} threads"
-        );
-    }
+    let mut replay_err = None;
+    let replay = det_delta(|| {
+        replay_err = Graph::build_with_budget(&pump, &defs, &pool, opts, &budget).err();
+    });
+    assert_eq!(
+        replay_err,
+        Some(expected_err),
+        "typed error diverged on replay"
+    );
+    assert_eq!(
+        replay, reference,
+        "exhaustion counter delta diverged on replay"
+    );
 }
 
 /// Satellite 3: an active [`MemorySink`] must not perturb the engines —
-/// the typed budget error from `build_parallel` and the fixpoint from
-/// `refine_parallel` are identical with tracing on, and the sink
+/// the typed budget error from `build_with_budget` and the fixpoint from
+/// `refine_budgeted` are identical with tracing on, and the sink
 /// actually observes the failure event.
 #[test]
 fn tracing_does_not_perturb_error_semantics() {
@@ -199,12 +197,12 @@ fn tracing_does_not_perturb_error_semantics() {
     let pool = shared_pool(&pump, &pump, opts.fresh_inputs);
     let budget = Budget::states(5);
 
-    let bare = Graph::build_parallel(&pump, &defs, &pool, opts, &budget, 4).err();
+    let bare = Graph::build_with_budget(&pump, &defs, &pool, opts, &budget).err();
     assert_eq!(bare, Some(EngineError::StateBudgetExceeded { limit: 5 }));
 
     let sink = MemorySink::new();
     bpi_obs::install_sink(sink.clone());
-    let traced = Graph::build_parallel(&pump, &defs, &pool, opts, &budget, 4).err();
+    let traced = Graph::build_with_budget(&pump, &defs, &pool, opts, &budget).err();
     let events = sink.take();
     bpi_obs::clear_sink();
     assert_eq!(traced, bare, "trace sink perturbed the typed error");
@@ -221,7 +219,14 @@ fn tracing_does_not_perturb_error_semantics() {
     let want = refine(Variant::WeakLabelled, &g1, &g2);
     let sink = MemorySink::new();
     bpi_obs::install_sink(sink.clone());
-    let got = refine_parallel(Variant::WeakLabelled, &g1, &g2, 4);
+    let got = refine_budgeted(
+        Variant::WeakLabelled,
+        &g1,
+        &g2,
+        &Budget::unlimited(),
+        &CheckpointCfg::default(),
+    )
+    .expect("an unlimited budget completes");
     bpi_obs::clear_sink();
     assert_eq!(got.rel, want.rel, "trace sink perturbed the fixpoint");
     assert!(

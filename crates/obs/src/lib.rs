@@ -7,12 +7,12 @@
 //!   log₂-bucketed histograms backed by atomics. Counters carry a
 //!   [`Det`] marker splitting them into **deterministic** counters
 //!   (result-derived quantities that must be bit-identical across the
-//!   naive/worklist/parallel engines and every `BPI_THREADS` value —
-//!   states, edges, surviving pairs, typed budget failures) and
-//!   **advisory** stats (schedule-derived quantities: memo hit rates,
-//!   sweep/pop/round counts, chunk sizes, timings). The split is a
-//!   *tested contract*: `crates/equiv/tests/metrics_oracle.rs` diffs
-//!   deterministic snapshots across engines and thread counts.
+//!   naive/worklist/partition/round engines — states, edges, surviving
+//!   pairs, typed budget failures) and **advisory** stats
+//!   (process-derived quantities: memo hit rates, sweep/pop/round
+//!   counts, timings). The split is a *tested contract*:
+//!   `crates/equiv/tests/metrics_oracle.rs` diffs deterministic
+//!   snapshots across engines and builders.
 //! * [`trace`] — a [`trace::TraceSink`] trait with JSON-lines and
 //!   in-memory collectors, a process-global sink slot behind an atomic
 //!   fast flag, and span-scoped timers feeding advisory histograms.
@@ -21,8 +21,7 @@
 //! channels: `semantics.checkpoint` (snapshot/resume counters),
 //! `semantics.chaos` (injection events), `semantics.supervise`
 //! (attempts, isolated panics), plus `equiv.check` `resumed` /
-//! `supervised_verdict` and `equiv.congruence` `sweep_recovered` trace
-//! events. Deterministic counters record once, at phase completion, so
+//! `supervised_verdict` trace events. Deterministic counters record once, at phase completion, so
 //! an interrupted-and-resumed or chaos-disturbed run leaves the same
 //! deterministic trail as a quiet one — `checkpoint_resume.rs` pins
 //! that contract.

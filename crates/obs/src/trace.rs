@@ -138,7 +138,7 @@ impl TraceEvent {
 }
 
 /// Consumer of trace events. Implementations must tolerate concurrent
-/// calls from engine worker threads.
+/// calls: the daemon runs jobs on several worker threads.
 pub trait TraceSink: Send + Sync {
     fn event(&self, ev: &TraceEvent);
     fn flush(&self) {}
@@ -297,7 +297,7 @@ impl TraceSink for MemorySink {
 /// A one-line configuration warning: printed to stderr **once per
 /// distinct (target, message) per process** and mirrored as a trace
 /// event (`name = "warn"`) when a sink is installed, so misread
-/// environment knobs (`BPI_THREADS`, `BPI_CHAOS`, …) surface exactly
+/// environment knobs (`BPI_ENGINE`, `BPI_CHAOS`, …) surface exactly
 /// once instead of silently falling back — or flooding a hot loop.
 /// Returns whether this call was the first occurrence (tests use the
 /// return value to probe the dedup without scraping stderr).

@@ -27,7 +27,7 @@ pub enum EngineError {
     DeadlineExceeded,
     /// The cooperative cancellation flag was raised by another thread.
     Cancelled,
-    /// A worker thread died; partial results may still be usable.
+    /// A supervised run panicked; partial results may still be usable.
     WorkerPanicked,
 }
 

@@ -144,6 +144,12 @@ pub fn intern_state(p: &P, protected: Option<&NameSet>) -> Consed {
     c
 }
 
+/// Interned states as their cells' own allocations, the form in which
+/// graphs store them.
+pub fn cell_terms(states: &[Consed]) -> Vec<P> {
+    states.iter().map(|c| c.term().clone()).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

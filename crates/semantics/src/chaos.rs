@@ -1,21 +1,16 @@
 //! Self-chaos harness: seeded fault injection into the *engine itself*.
 //!
 //! PR 1's [`crate::faults`] injects faults into the *modelled* broadcast
-//! systems; this module injects them into the analysis engines — worker
-//! panics in the parallel frontier and refinement chunks, scheduling
-//! delays in memo caches and weak closures, and spurious budget pressure
-//! in the checkpoint-aware sequential loops. Like a [`crate::FaultPlan`],
-//! a [`ChaosPlan`] is **seeded and replayable**: every injection decision
-//! is a pure function of `(seed, site, per-site call ordinal)`, and the
-//! injections actually fired are recorded in a [`ChaosLog`].
+//! systems; this module injects them into the analysis engines —
+//! scheduling delays in memo caches and weak closures, and spurious
+//! budget pressure in the checkpoint-aware loops. Like a
+//! [`crate::FaultPlan`], a [`ChaosPlan`] is **seeded and replayable**:
+//! every injection decision is a pure function of `(seed, site, per-site
+//! call ordinal)`, and the injections actually fired are recorded in a
+//! [`ChaosLog`].
 //!
 //! **Safety contract.** Chaos only strikes at *recoverable* sites:
 //!
-//! * **panics** fire only inside parallel workers whose death the engine
-//!   already converts to [`EngineError::WorkerPanicked`] (the frontier's
-//!   `ActiveGuard`, the refiner's chunk scope) — and with chaos active
-//!   those engines transparently retry on their deterministic sequential
-//!   path, so results are unchanged;
 //! * **delays** are sub-millisecond sleeps and never change any result;
 //! * **budget pressure** ([`pressure`]) fires only while a supervisor has
 //!   *armed* it on the current thread ([`arm_pressure`]), and the
@@ -38,8 +33,6 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, LazyLock, Once};
 use std::time::Duration;
 
-static CHAOS_PANICS: LazyLock<&Counter> =
-    LazyLock::new(|| counter("semantics.chaos.panics", Det::Advisory));
 static CHAOS_DELAYS: LazyLock<&Counter> =
     LazyLock::new(|| counter("semantics.chaos.delays", Det::Advisory));
 static CHAOS_PRESSURE: LazyLock<&Counter> =
@@ -48,8 +41,6 @@ static CHAOS_PRESSURE: LazyLock<&Counter> =
 /// What a chaos site injected, and where.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ChaosEvent {
-    /// A worker panic was injected at `site`.
-    Panic { site: &'static str, ordinal: u64 },
     /// A scheduling delay was injected at `site`.
     Delay { site: &'static str, ordinal: u64 },
     /// Spurious budget pressure was injected at `site`.
@@ -60,17 +51,16 @@ impl ChaosEvent {
     /// The injection site this event fired at.
     pub fn site(&self) -> &'static str {
         match self {
-            ChaosEvent::Panic { site, .. }
-            | ChaosEvent::Delay { site, .. }
-            | ChaosEvent::Pressure { site, .. } => site,
+            ChaosEvent::Delay { site, .. } | ChaosEvent::Pressure { site, .. } => site,
         }
     }
 }
 
 /// The record of every injection a chaos run actually fired, in firing
-/// order. For a single-threaded run this is a pure function of
-/// `(plan, sites visited)`; under worker parallelism the per-site
-/// ordinals are still deterministic but global interleaving is not.
+/// order. For sites visited from one thread this is a pure function of
+/// `(plan, sites visited)`; when several threads (the daemon's workers)
+/// visit sites, the per-site ordinals are still deterministic but the
+/// global interleaving is not.
 #[derive(Clone, Debug, Default)]
 pub struct ChaosLog {
     /// The injections, in the order they fired.
@@ -78,14 +68,6 @@ pub struct ChaosLog {
 }
 
 impl ChaosLog {
-    /// Number of injected panics.
-    pub fn panics(&self) -> usize {
-        self.events
-            .iter()
-            .filter(|e| matches!(e, ChaosEvent::Panic { .. }))
-            .count()
-    }
-
     /// Number of injected pressure events.
     pub fn pressures(&self) -> usize {
         self.events
@@ -101,21 +83,18 @@ impl ChaosLog {
 #[derive(Clone, Debug)]
 pub struct ChaosPlan {
     seed: u64,
-    panic_prob: f64,
     delay_prob: f64,
     pressure_prob: f64,
     max_injections: usize,
 }
 
 impl ChaosPlan {
-    /// A plan with the default probabilities: 5% worker panics, 10%
-    /// delays, 25% armed budget pressure, at most 8 panic/pressure
-    /// injections per process (so chaos runs always terminate — the
+    /// A plan with the default probabilities: 10% delays, 25% armed
+    /// budget pressure, at most 8 pressure injections per process (so chaos runs always terminate — the
     /// analogue of [`crate::FaultPlan`]'s bounded axiom-(H) noise).
     pub fn new(seed: u64) -> ChaosPlan {
         ChaosPlan {
             seed,
-            panic_prob: 0.05,
             delay_prob: 0.10,
             pressure_prob: 0.25,
             max_injections: 8,
@@ -125,12 +104,6 @@ impl ChaosPlan {
     /// The seed all injection decisions derive from.
     pub fn seed(&self) -> u64 {
         self.seed
-    }
-
-    /// Probability that a worker site injects a panic.
-    pub fn panic_prob(mut self, p: f64) -> ChaosPlan {
-        self.panic_prob = p.clamp(0.0, 1.0);
-        self
     }
 
     /// Probability that a delay site injects a short sleep.
@@ -146,7 +119,7 @@ impl ChaosPlan {
         self
     }
 
-    /// Cap on the total panic + pressure injections for the process
+    /// Cap on the total pressure injections for the process
     /// lifetime of this installation; delays are not counted (they never
     /// change control flow). A cap of 0 reduces chaos to delays only.
     pub fn max_injections(mut self, n: usize) -> ChaosPlan {
@@ -157,7 +130,7 @@ impl ChaosPlan {
 
 struct ChaosState {
     plan: ChaosPlan,
-    /// Panic + pressure injections fired so far, bounded by the plan.
+    /// Pressure injections fired so far, bounded by the plan.
     injected: AtomicUsize,
     /// Per-site call ordinals: the replayable clock of each site.
     ordinals: Mutex<HashMap<&'static str, u64>>,
@@ -302,7 +275,7 @@ impl ChaosState {
         ((bits >> 11) as f64 / (1u64 << 53) as f64, ordinal)
     }
 
-    /// Claims one unit of the bounded panic/pressure injection budget.
+    /// Claims one unit of the bounded pressure injection budget.
     fn claim_injection(&self) -> bool {
         self.injected
             .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| {
@@ -315,7 +288,6 @@ impl ChaosState {
         self.log.lock().push(ev.clone());
         bpi_obs::emit("semantics.chaos", "inject", || {
             let kind = match &ev {
-                ChaosEvent::Panic { .. } => "panic",
                 ChaosEvent::Delay { .. } => "delay",
                 ChaosEvent::Pressure { .. } => "pressure",
             };
@@ -324,21 +296,6 @@ impl ChaosState {
                 ("site", Value::from(ev.site())),
             ]
         });
-    }
-}
-
-/// A chaos site inside a *parallel worker* whose unwinding the engine
-/// converts to [`EngineError::WorkerPanicked`]. May panic; never returns
-/// an error. Place only where a panic is provably recovered.
-pub fn worker_tick(site: &'static str) {
-    let Some(s) = active() else { return };
-    let (u, ordinal) = s.draw(site);
-    if u < s.plan.panic_prob && s.claim_injection() {
-        s.record(ChaosEvent::Panic { site, ordinal });
-        if bpi_obs::metrics_enabled() {
-            CHAOS_PANICS.inc();
-        }
-        panic!("chaos: injected worker panic at {site} (ordinal {ordinal})");
     }
 }
 
@@ -428,7 +385,6 @@ mod tests {
     fn inactive_sites_are_inert() {
         let _g = lock();
         clear();
-        worker_tick("test.site");
         delay("test.site");
         assert_eq!(pressure("test.site"), Ok(()));
         let _armed = arm_pressure();
@@ -439,12 +395,16 @@ mod tests {
     #[test]
     fn decisions_replay_deterministically() {
         let _g = lock();
+        // Only this test's site: other unit tests in this binary may hit
+        // the memo delay sites while the plan is installed.
         let run = || {
-            install(ChaosPlan::new(7).panic_prob(0.0).delay_prob(0.5));
+            install(ChaosPlan::new(7).delay_prob(0.5));
             for _ in 0..64 {
                 delay("replay.site");
             }
-            clear()
+            let mut log = clear();
+            log.events.retain(|e| e.site() == "replay.site");
+            log
         };
         let a = run();
         let b = run();
@@ -455,12 +415,7 @@ mod tests {
     #[test]
     fn pressure_requires_arming_and_respects_the_cap() {
         let _g = lock();
-        install(
-            ChaosPlan::new(11)
-                .pressure_prob(1.0)
-                .panic_prob(0.0)
-                .max_injections(3),
-        );
+        install(ChaosPlan::new(11).pressure_prob(1.0).max_injections(3));
         // Unarmed: nothing fires, nothing is logged.
         for _ in 0..8 {
             assert_eq!(pressure("cap.site"), Ok(()));
@@ -477,26 +432,12 @@ mod tests {
     }
 
     #[test]
-    fn injected_worker_panic_carries_the_site() {
-        let _g = lock();
-        install(ChaosPlan::new(3).panic_prob(1.0).max_injections(1));
-        let r = std::panic::catch_unwind(|| worker_tick("panic.site"));
-        let log = clear();
-        assert!(r.is_err(), "probability-1 panic site must fire");
-        assert_eq!(log.panics(), 1);
-        // Second tick would have exceeded the cap and stayed quiet.
-    }
-
-    #[test]
     fn env_parse_accepts_seeds_only() {
         let _g = lock();
         // Not touching the process environment here — just the parser
         // contract via install/clear round-trips.
         assert!(ChaosPlan::new(0).seed() == 0);
-        let p = ChaosPlan::new(9)
-            .panic_prob(2.0)
-            .delay_prob(-1.0)
-            .pressure_prob(0.5);
+        let p = ChaosPlan::new(9).delay_prob(-1.0).pressure_prob(0.5);
         assert_eq!(p.seed(), 9);
         // Probabilities clamp to [0,1].
         install(p.max_injections(0));

@@ -44,8 +44,8 @@ static CKPT_RESUMES: LazyLock<&Counter> =
 /// continue without redoing completed work.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Interrupted<C> {
-    /// Why the engine stopped (never [`EngineError::WorkerPanicked`] on
-    /// the sequential checkpoint paths).
+    /// Why the engine stopped (never [`EngineError::WorkerPanicked`]:
+    /// only the supervisor reports that, for a raw panic).
     pub error: EngineError,
     /// The state of the run at the stop boundary.
     pub checkpoint: C,

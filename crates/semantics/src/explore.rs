@@ -9,9 +9,7 @@
 //! first-occurrence order, which is sound because injective renamings
 //! preserve strong bisimilarity (Lemma 18).
 //!
-//! Both a sequential and a crossbeam-based parallel breadth-first
-//! exploration are provided; the parallel one shards the frontier over
-//! worker threads with a shared visited table.
+//! Exploration runs on the calling thread.
 
 use crate::budget::{retry_with_backoff, Budget, EngineError};
 use crate::checkpoint::{CheckpointCfg, ExploreCheckpoint, Interrupted};
@@ -26,14 +24,11 @@ use bpi_obs::{counter, Counter, Det, Value};
 use std::collections::HashMap;
 use std::sync::LazyLock;
 
-// Deterministic counters are derived from the *result* graph, which is
-// identical (up to state numbering) for the sequential and parallel
-// explorers at every thread count; state/edge totals are only counted
-// for complete graphs, because a truncated graph's extent depends on
-// discovery order. The truncation *event* for a state ceiling is
-// schedule-independent (the reachable space either fits or it does
-// not), so it is deterministic too; deadline/cancellation are wall
-// clock and stay advisory.
+// Deterministic counters are derived from the *result* graph; state/edge
+// totals are only counted for complete graphs. The truncation *event*
+// for a state ceiling is deterministic too (the reachable space either
+// fits or it does not); deadline/cancellation are wall clock and stay
+// advisory.
 static EXPLORE_RUNS: LazyLock<&Counter> =
     LazyLock::new(|| counter("semantics.explore.runs", Det::Deterministic));
 static EXPLORE_STATES: LazyLock<&Counter> =
@@ -45,7 +40,7 @@ static EXPLORE_EXHAUSTED: LazyLock<&Counter> =
 static EXPLORE_INTERRUPTED: LazyLock<&Counter> =
     LazyLock::new(|| counter("semantics.explore.interrupted", Det::Advisory));
 
-/// Shared exit bookkeeping for both explorers.
+/// Shared exit bookkeeping for the plain and checkpointed explorers.
 fn record_explore(g: &StateGraph) {
     if bpi_obs::metrics_enabled() {
         EXPLORE_RUNS.inc();
@@ -604,70 +599,6 @@ pub fn output_reachable_budgeted(
     }
 }
 
-/// Parallel breadth-first exploration using `threads` crossbeam workers
-/// sharing a visited table and work queue. Produces the same state set as
-/// [`explore`] (state indices may differ between runs).
-pub fn explore_parallel(p: &P, defs: &Defs, opts: ExploreOpts, threads: usize) -> StateGraph {
-    explore_parallel_budgeted(p, defs, opts, threads, &Budget::unlimited())
-}
-
-/// [`explore_parallel`] under an explicit [`Budget`], with cooperative
-/// cancellation: every worker polls the budget once per expanded state
-/// and raises a shared stop flag on exhaustion, so all threads wind down
-/// quickly. A panicking worker degrades the same way — its claim is
-/// released, the other workers drain, and the partial graph comes back
-/// `truncated` with [`EngineError::WorkerPanicked`] recorded instead of
-/// the panic propagating. The frontier/visited-table machinery lives in
-/// [`crate::frontier`], shared with `bpi-equiv`'s `Graph::build_parallel`.
-pub fn explore_parallel_budgeted(
-    p: &P,
-    defs: &Defs,
-    opts: ExploreOpts,
-    threads: usize,
-    budget: &Budget,
-) -> StateGraph {
-    let threads = threads.max(1);
-    if threads == 1 {
-        return explore_budgeted(p, defs, opts, budget);
-    }
-    let _span = bpi_obs::span("semantics.explore", "parallel");
-    let protected = p.free_names();
-    let prot = opts.normalize_extruded.then_some(&protected);
-    let intern = move |q: &P| crate::cache::intern_state(q, prot);
-    let cap = opts.max_states.min(budget.max_states());
-
-    let outcome = crate::frontier::expand_frontier(
-        intern(p),
-        cap,
-        budget,
-        threads,
-        /* stop_on_cap */ false,
-        |src| {
-            let lts = Lts::new(defs);
-            let succs = crate::cache::step_transitions_consed(&lts, src)
-                .iter()
-                .map(|(act, succ)| (act.clone(), intern(succ)))
-                .collect();
-            crate::frontier::Expansion { succs, meta: () }
-        },
-    );
-    if outcome.interrupted == Some(EngineError::WorkerPanicked) && crate::chaos::is_active() {
-        // The panic was (presumably) chaos-injected: the sequential
-        // explorer has no worker panic sites, so retrying there yields
-        // the uninterrupted result — and records its counters exactly
-        // once, keeping chaos runs metric-identical to quiet ones.
-        return explore_budgeted(p, defs, opts, budget);
-    }
-    let g = StateGraph {
-        states: outcome.states,
-        edges: outcome.edges,
-        truncated: outcome.interrupted.is_some(),
-        interrupted: outcome.interrupted,
-    };
-    record_explore(&g);
-    g
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -717,28 +648,6 @@ mod tests {
         );
         assert!(g.truncated);
         assert!(g.len() <= 16);
-    }
-
-    #[test]
-    fn parallel_matches_sequential() {
-        let defs = Defs::new();
-        let [a, b, c, x] = names(["a", "b", "c", "x"]);
-        // Three broadcasters and a listener: moderate interleaving.
-        let p = par_of([
-            out(a, [], out_(b, [])),
-            out(b, [], out_(c, [])),
-            inp(a, [x], out_(x, [])),
-        ]);
-        let g1 = explore(&p, &defs, ExploreOpts::default());
-        let g2 = explore_parallel(&p, &defs, ExploreOpts::default(), 4);
-        assert_eq!(g1.len(), g2.len());
-        assert_eq!(g1.edge_count(), g2.edge_count());
-        // Same state *sets* regardless of discovery order.
-        let mut s1: Vec<String> = g1.states.iter().map(|s| s.to_string()).collect();
-        let mut s2: Vec<String> = g2.states.iter().map(|s| s.to_string()).collect();
-        s1.sort();
-        s2.sort();
-        assert_eq!(s1, s2);
     }
 
     #[test]
@@ -799,38 +708,6 @@ mod tests {
         assert_eq!(g.interrupted, Some(EngineError::Cancelled));
         // Still usable: the initial state is present.
         assert!(!g.is_empty());
-    }
-
-    #[test]
-    fn cancellation_interrupts_parallel_exploration() {
-        use std::sync::atomic::AtomicBool;
-        use std::sync::Arc;
-        let defs = Defs::new();
-        let flag = Arc::new(AtomicBool::new(true));
-        let budget = Budget::unlimited().with_cancel_flag(flag);
-        let g = explore_parallel_budgeted(&grow_pump(), &defs, ExploreOpts::default(), 4, &budget);
-        assert!(g.truncated);
-        assert_eq!(g.interrupted, Some(EngineError::Cancelled));
-    }
-
-    #[test]
-    fn parallel_truncation_records_reason() {
-        let defs = Defs::new();
-        let g = explore_parallel(
-            &grow_pump(),
-            &defs,
-            ExploreOpts {
-                max_states: 16,
-                normalize_extruded: true,
-            },
-            4,
-        );
-        assert!(g.truncated);
-        assert_eq!(
-            g.interrupted,
-            Some(EngineError::StateBudgetExceeded { limit: 16 })
-        );
-        assert!(g.len() <= 16);
     }
 
     #[test]

@@ -155,9 +155,10 @@ fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
     f.write_str("\"")
 }
 
-/// Parses one JSON document, rejecting trailing garbage. All errors are
-/// typed strings with a byte offset — the journal reader depends on a
-/// clean `Err` (never a panic) for torn trailing lines.
+/// Parses one JSON document (RFC 8259), rejecting trailing garbage.
+/// Errors are typed strings, with a byte offset wherever one applies —
+/// the journal reader depends on a clean `Err` (never a panic) for torn
+/// trailing lines.
 pub fn parse(src: &str) -> Result<Json, String> {
     let mut p = Parser {
         src,
@@ -173,8 +174,8 @@ pub fn parse(src: &str) -> Result<Json, String> {
     Ok(v)
 }
 
-/// Nesting ceiling: the protocol is ~2 levels deep; 64 keeps a hostile
-/// `[[[[…` line from blowing the stack.
+/// Nesting ceiling, in arrays and objects: the protocol is ~2 levels
+/// deep; 64 keeps a hostile `[[[[…` line from blowing the stack.
 const MAX_DEPTH: usize = 64;
 
 struct Parser<'a> {
@@ -205,11 +206,13 @@ impl Parser<'_> {
         }
     }
 
+    /// One value inside `depth` enclosing arrays and objects.
     fn value(&mut self, depth: usize) -> Result<Json, String> {
-        if depth > MAX_DEPTH {
-            return Err("nesting too deep".into());
-        }
         match self.b.get(self.i) {
+            Some(b'{' | b'[') if depth >= MAX_DEPTH => Err(format!(
+                "nesting deeper than {MAX_DEPTH} at offset {}",
+                self.i
+            )),
             None => Err("unexpected end of input".into()),
             Some(b'{') => self.object(depth),
             Some(b'[') => self.array(depth),
@@ -234,19 +237,46 @@ impl Parser<'_> {
         }
     }
 
+    /// Consumes one or more ASCII digits, or names the offset where a
+    /// digit was required.
+    fn digits(&mut self) -> Result<(), String> {
+        if !self.b.get(self.i).is_some_and(u8::is_ascii_digit) {
+            return Err(format!("expected a digit at offset {}", self.i));
+        }
+        while self.b.get(self.i).is_some_and(u8::is_ascii_digit) {
+            self.i += 1;
+        }
+        Ok(())
+    }
+
+    /// `-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?` — the RFC 8259
+    /// grammar, checked here because `f64::from_str` also accepts
+    /// `01`, `1.` and `.5`.
     fn number(&mut self) -> Result<Json, String> {
         let start = self.i;
         if self.b.get(self.i) == Some(&b'-') {
             self.i += 1;
         }
-        while let Some(&c) = self.b.get(self.i) {
-            if c.is_ascii_digit() || c == b'.' || c == b'e' || c == b'E' || c == b'+' || c == b'-' {
-                self.i += 1;
-            } else {
-                break;
+        if self.b.get(self.i) == Some(&b'0') {
+            self.i += 1;
+            if self.b.get(self.i).is_some_and(u8::is_ascii_digit) {
+                return Err(format!("leading zero in number at offset {start}"));
             }
+        } else {
+            self.digits()?;
         }
-        let text = std::str::from_utf8(&self.b[start..self.i]).unwrap();
+        if self.b.get(self.i) == Some(&b'.') {
+            self.i += 1;
+            self.digits()?;
+        }
+        if matches!(self.b.get(self.i), Some(b'e' | b'E')) {
+            self.i += 1;
+            if matches!(self.b.get(self.i), Some(b'+' | b'-')) {
+                self.i += 1;
+            }
+            self.digits()?;
+        }
+        let text = &self.src[start..self.i];
         let n: f64 = text
             .parse()
             .map_err(|_| format!("bad number {text:?} at offset {start}"))?;
@@ -267,6 +297,7 @@ impl Parser<'_> {
                     return Ok(out);
                 }
                 Some(b'\\') => {
+                    let esc = self.i;
                     self.i += 1;
                     match self.b.get(self.i) {
                         Some(b'"') => out.push('"'),
@@ -278,38 +309,26 @@ impl Parser<'_> {
                         Some(b'b') => out.push('\u{8}'),
                         Some(b'f') => out.push('\u{c}'),
                         Some(b'u') => {
-                            let hex = self
-                                .b
-                                .get(self.i + 1..self.i + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                                16,
-                            )
-                            .map_err(|_| "bad \\u escape")?;
+                            let code = self.hex4(esc)?;
                             // Surrogate pairs: the writer never emits
                             // them, but foreign clients may.
                             let c = if (0xd800..0xdc00).contains(&code) {
-                                let lo = self
-                                    .b
-                                    .get(self.i + 5..self.i + 11)
-                                    .filter(|s| s.starts_with(b"\\u"))
-                                    .ok_or("lone high surrogate")?;
-                                let lo = u32::from_str_radix(
-                                    std::str::from_utf8(&lo[2..]).map_err(|_| "bad surrogate")?,
-                                    16,
-                                )
-                                .map_err(|_| "bad surrogate")?;
-                                if !(0xdc00..0xe000).contains(&lo) {
-                                    return Err("bad low surrogate".into());
+                                if !self.b[self.i + 1..].starts_with(b"\\u") {
+                                    return Err(format!("lone high surrogate at offset {esc}"));
                                 }
-                                self.i += 6;
+                                let lo_esc = self.i + 1;
+                                self.i += 2;
+                                let lo = self.hex4(lo_esc)?;
+                                if !(0xdc00..0xe000).contains(&lo) {
+                                    return Err(format!("bad low surrogate at offset {lo_esc}"));
+                                }
                                 0x10000 + ((code - 0xd800) << 10) + (lo - 0xdc00)
                             } else {
                                 code
                             };
-                            out.push(char::from_u32(c).ok_or("bad \\u codepoint")?);
-                            self.i += 4;
+                            let c = char::from_u32(c)
+                                .ok_or_else(|| format!("bad \\u codepoint at offset {esc}"))?;
+                            out.push(c);
                         }
                         _ => return Err(format!("bad escape at offset {}", self.i)),
                     }
@@ -334,6 +353,22 @@ impl Parser<'_> {
                 }
             }
         }
+    }
+
+    /// The four hex digits after the `u` at `self.i`, consumed so that
+    /// `self.i` ends on the last of them. `esc` is the offset of the
+    /// escape's backslash, for the error.
+    fn hex4(&mut self, esc: usize) -> Result<u32, String> {
+        let hex = self
+            .b
+            .get(self.i + 1..self.i + 5)
+            .filter(|h| h.iter().all(u8::is_ascii_hexdigit))
+            .ok_or_else(|| format!("bad \\u escape at offset {esc}"))?;
+        let code = hex
+            .iter()
+            .fold(0, |n, &h| n * 16 + (h as char).to_digit(16).unwrap_or(0));
+        self.i += 4;
+        Ok(code)
     }
 
     fn array(&mut self, depth: usize) -> Result<Json, String> {
@@ -500,13 +535,178 @@ mod tests {
         assert!(parse("\"ab\\q\"")
             .unwrap_err()
             .contains("bad escape at offset 4"));
-        assert_eq!(parse("\"\\ud800\"").unwrap_err(), "lone high surrogate");
+        assert_eq!(
+            parse("\"\\ud800\"").unwrap_err(),
+            "lone high surrogate at offset 1"
+        );
         assert_eq!(
             parse("\"\\ud800\\u0041\"").unwrap_err(),
-            "bad low surrogate"
+            "bad low surrogate at offset 7"
         );
-        assert_eq!(parse("\"ñ\\u12é\"").unwrap_err(), "bad \\u escape");
+        assert_eq!(
+            parse("\"ñ\\u12é\"").unwrap_err(),
+            "bad \\u escape at offset 3"
+        );
         assert_eq!(parse("\"\\ud83e\\udd80\"").unwrap(), Json::str("\u{1f980}"));
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        let err = |s: &str| parse(s).unwrap_err();
+        // `u32::from_str_radix` would take a sign; RFC 8259 does not.
+        assert_eq!(err(r#""\u+041""#), "bad \\u escape at offset 1");
+        assert_eq!(err(r#""\u-041""#), "bad \\u escape at offset 1");
+        assert_eq!(err(r#""\u 041""#), "bad \\u escape at offset 1");
+        assert_eq!(err(r#""\u12""#), "bad \\u escape at offset 1");
+        assert_eq!(err(r#"["\u004g"]"#), "bad \\u escape at offset 2");
+        // The low half of a pair obeys the same rule.
+        assert_eq!(err(r#""\ud83e\u+d80""#), "bad \\u escape at offset 7");
+        assert_eq!(err(r#""\ud83e\udd8""#), "bad \\u escape at offset 7");
+        assert_eq!(err(r#""\udc00""#), "bad \\u codepoint at offset 1");
+        assert_eq!(parse(r#""\u0041\u00e9""#).unwrap(), Json::str("Aé"));
+        assert_eq!(parse(r#""\uD83E\uDD80""#).unwrap(), Json::str("\u{1f980}"));
+    }
+
+    #[test]
+    fn numbers_follow_the_rfc_grammar() {
+        for (bad, why) in [
+            ("01", "leading zero in number at offset 0"),
+            ("-01", "leading zero in number at offset 0"),
+            ("[1,00]", "leading zero in number at offset 3"),
+            ("1.", "expected a digit at offset 2"),
+            ("1.e5", "expected a digit at offset 2"),
+            ("-", "expected a digit at offset 1"),
+            ("-x", "expected a digit at offset 1"),
+            ("1e", "expected a digit at offset 2"),
+            ("1e+", "expected a digit at offset 3"),
+            ("2E-x", "expected a digit at offset 3"),
+        ] {
+            assert_eq!(parse(bad).unwrap_err(), why, "{bad:?}");
+        }
+        for bad in [".5", "+1", "1..2", "0x10", "1e5.0", "Infinity", "NaN"] {
+            assert!(parse(bad).is_err(), "accepted {bad:?}");
+        }
+        for (good, n) in [
+            ("0", 0.0),
+            ("-0", 0.0),
+            ("0.5", 0.5),
+            ("10", 10.0),
+            ("1e5", 1e5),
+            ("1E+5", 1e5),
+            ("-1.25e-3", -1.25e-3),
+            ("0e0", 0.0),
+        ] {
+            assert_eq!(parse(good).unwrap(), Json::Num(n), "{good:?}");
+        }
+    }
+
+    /// splitmix64: one proptest-drawn seed drives a whole document.
+    struct Rng(u64);
+
+    impl Rng {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e3779b97f4a7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58476d1ce4e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d049bb133111eb);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    /// Characters that stress the writer's escapes and the parser's
+    /// plain-run copy: quotes, backslashes, control bytes, multi-byte
+    /// characters and the `\u` look-alikes.
+    const CHARS: [char; 16] = [
+        'a', 'Z', '0', ' ', '"', '\\', '/', 'u', '\n', '\t', '\u{1}', '\u{1f}', 'ñ', '⟨', '🦀',
+        '\u{7f}',
+    ];
+
+    fn random_string(rng: &mut Rng) -> String {
+        (0..rng.below(8))
+            .map(|_| CHARS[rng.below(16) as usize])
+            .collect()
+    }
+
+    fn random_number(rng: &mut Rng) -> f64 {
+        let n = rng.below(1 << 20) as f64;
+        match rng.below(6) {
+            0 => n,
+            1 => -n,
+            2 => n / 1024.0,
+            3 => -n * 1e-9,
+            4 => n * 1e20,
+            _ => 0.0,
+        }
+    }
+
+    /// A random document at most `depth` containers deep. Object keys
+    /// carry their index, so they never collide.
+    fn random_json(rng: &mut Rng, depth: usize) -> Json {
+        let leaf = depth == 0 || rng.below(3) == 0;
+        match rng.below(if leaf { 4 } else { 6 }) {
+            0 => Json::Null,
+            1 => Json::Bool(rng.below(2) == 0),
+            2 => Json::Num(random_number(rng)),
+            3 => Json::Str(random_string(rng)),
+            4 => Json::Arr(
+                (0..rng.below(4))
+                    .map(|_| random_json(rng, depth - 1))
+                    .collect(),
+            ),
+            _ => Json::Obj(
+                (0..rng.below(4))
+                    .map(|i| {
+                        let k = format!("{i}{}", random_string(rng));
+                        (k, random_json(rng, depth - 1))
+                    })
+                    .collect(),
+            ),
+        }
+    }
+
+    /// `depth` arrays and objects nested around `null`.
+    fn nested(rng: &mut Rng, depth: usize) -> String {
+        let mut s = String::from("null");
+        for _ in 0..depth {
+            s = if rng.below(2) == 0 {
+                format!("[{s}]")
+            } else {
+                format!("{{\"k\":{s}}}")
+            };
+        }
+        s
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn hostile_input_never_panics(seed in 0u64..u64::MAX) {
+            let mut rng = Rng(seed);
+            let v = random_json(&mut rng, 5);
+            let text = v.to_string();
+            proptest::prop_assert_eq!(parse(&text), Ok(v));
+            // Every prefix, cut at a char boundary, parses or errors.
+            for (cut, _) in text.char_indices() {
+                let _ = parse(&text[..cut]);
+            }
+            // One byte replaced at every position (invalid UTF-8 is
+            // repaired lossily, since the parser takes text).
+            for at in 0..text.len() {
+                let mut bytes = text.clone().into_bytes();
+                bytes[at] = rng.below(256) as u8;
+                let _ = parse(&String::from_utf8_lossy(&bytes));
+            }
+            // 64 levels of nesting are fine; one more is the typed error.
+            let depth = 65 + rng.below(64) as usize;
+            let err = parse(&nested(&mut rng, depth)).unwrap_err();
+            proptest::prop_assert!(err.starts_with("nesting deeper than 64 at offset"), "{}", err);
+            proptest::prop_assert!(parse(&nested(&mut rng, 64)).is_ok());
+        }
     }
 
     #[test]

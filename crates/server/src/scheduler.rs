@@ -668,7 +668,7 @@ fn execute_slice(sh: &Shared, job: &mut Job) -> SliceResult {
             if let Some(d) = job.deadline {
                 budget = budget.with_deadline_at(d);
             }
-            let checker = Checker::new(defs).with_budget(budget).with_threads(1);
+            let checker = Checker::new(defs).with_budget(budget);
             let from = match job.parked.take() {
                 Some(ParkState::Check(ck)) => Some(*ck),
                 _ => None,

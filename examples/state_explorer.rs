@@ -8,7 +8,7 @@
 
 use bpi::core::parse_process;
 use bpi::core::syntax::Defs;
-use bpi::semantics::{explore, explore_parallel, ExploreOpts};
+use bpi::semantics::{explore, ExploreOpts};
 
 fn main() {
     let src = std::env::args().skip(1).collect::<Vec<_>>().join(" ");
@@ -30,7 +30,7 @@ fn main() {
     let opts = ExploreOpts::default();
     let start = std::time::Instant::now();
     let g = explore(&p, &defs, opts);
-    let seq_time = start.elapsed();
+    let elapsed = start.elapsed();
 
     for (i, state) in g.states.iter().enumerate() {
         println!("[{i}] {state}");
@@ -40,23 +40,11 @@ fn main() {
     }
     println!();
     println!(
-        "{} states, {} transitions{} in {seq_time:.2?}",
+        "{} states, {} transitions{} in {elapsed:.2?}",
         g.len(),
         g.edge_count(),
         if g.truncated { " (truncated)" } else { "" }
     );
     println!("deadlocked states : {:?}", g.deadlocks());
     println!("output subjects   : {:?}", g.output_subjects());
-
-    // For larger graphs, show the parallel explorer's agreement.
-    if g.len() > 50 {
-        let start = std::time::Instant::now();
-        let gp = explore_parallel(&p, &defs, opts, 4);
-        println!(
-            "parallel exploration: {} states in {:.2?}",
-            gp.len(),
-            start.elapsed()
-        );
-        assert_eq!(g.len(), gp.len());
-    }
 }

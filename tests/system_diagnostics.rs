@@ -1,18 +1,38 @@
-//! Cross-cutting diagnostics: the explorer, the parallel explorer, the
-//! τ-SCC analysis and state normalisation agree with each other on the
-//! repository's own example systems.
+//! Cross-cutting diagnostics: the explorer, the checkpointed explorer,
+//! the τ-SCC analysis and state normalisation agree with each other on
+//! the repository's own example systems.
 
 use bpi::core::builder::*;
 use bpi::core::syntax::Defs;
 use bpi::encodings::election::election_system;
-use bpi::semantics::{analyse, explore, explore_parallel, normalize_state, ExploreOpts};
+use bpi::semantics::{
+    analyse, explore, explore_resume_from, explore_with_checkpoint, normalize_state, Budget,
+    CheckpointCfg, ExploreOpts,
+};
 
 #[test]
-fn parallel_explorer_agrees_on_election() {
+fn checkpointed_explorer_agrees_on_election() {
+    // The checkpointed explorer runs its own loop; stopped every 7
+    // expanded states and resumed each time, it still finds exactly the
+    // plain explorer's graph.
     let (sys, defs, _ch) = election_system(4);
     let opts = ExploreOpts::default();
+    let budget = Budget::unlimited();
     let g1 = explore(&sys, &defs, opts);
-    let g2 = explore_parallel(&sys, &defs, opts, 4);
+    let mut resumes = 0usize;
+    let mut run = explore_with_checkpoint(&sys, &defs, opts, &budget, &CheckpointCfg::fuelled(7));
+    let g2 = loop {
+        match run {
+            Ok(g) => break g,
+            Err(stop) => {
+                resumes += 1;
+                let cfg = CheckpointCfg::fuelled(7);
+                run = explore_resume_from(stop.checkpoint, &defs, opts, &budget, &cfg);
+            }
+        }
+    };
+    assert!(resumes > 0, "a fuel of 7 must interrupt the election run");
+    assert!(!g2.truncated);
     assert_eq!(g1.len(), g2.len());
     assert_eq!(g1.edge_count(), g2.edge_count());
     let mut s1: Vec<String> = g1.states.iter().map(|s| s.to_string()).collect();
