@@ -28,9 +28,9 @@
 //!   availability-under-writer-crash reliability verdicts.
 //!
 //! [`verdicts`] gathers every challenge's headline checks into one
-//! labelled boolean vector: the differential-engine tests replay it
-//! under every `BPI_ENGINE` / `BPI_COMPOSE` setting and
-//! demand bit-identical answers, and the B16 bench ladder times it.
+//! labelled boolean vector: the differential test replays it with and
+//! without `BPI_COMPOSE` and demands bit-identical answers, and the B16
+//! bench ladder times it.
 
 pub mod broadcast;
 pub mod echo;

@@ -16,25 +16,29 @@
 //! relation and delete pairs violating the transfer conditions until
 //! stable. Four engines compute that fixpoint — all chaotic iterations
 //! of the same monotone transfer operator, hence the same greatest
-//! fixpoint:
+//! fixpoint — but checks run on two of them:
 //!
-//! * the naive global sweep [`refine`] (the reference oracle, and the
-//!   fastest choice on small products — no index construction);
-//! * the predecessor-indexed worklist [`refine_worklist`] (Gauss–Seidel:
-//!   killing a pair re-examines only the pairs with an edge into it);
 //! * the round-synchronous [`refine_budgeted`] (Jacobi: each round
 //!   re-checks the dirty pairs against the relation as it stood at the
-//!   round's start), the checkpointed pipeline's pairwise engine;
+//!   round's start), on small and mixed-arity products;
 //! * the block/splitter partition refiner of [`crate::partition`], which
 //!   abandons the pair table entirely and refines a partition of the
-//!   disjoint union of the two graphs.
+//!   disjoint union of the two graphs, on every other product.
 //!
-//! [`refine_auto`] picks between naive, partition and worklist by pair
-//! count and partition safety; the `BPI_ENGINE` env var overrides the
-//! choice. The [`Checker`] runs that on the calling thread.
+//! [`refine_auto`] and the checkpointed [`Checker`] pipeline both pick
+//! between them through `refine_checkpointed`, by pair count and
+//! partition safety, on the calling thread. The other two engines are
+//! kept as oracles and benchmark baselines only:
+//!
+//! * the naive global sweep [`refine`], the reference oracle;
+//! * the predecessor-indexed worklist [`refine_worklist`] (Gauss–Seidel:
+//!   killing a pair re-examines only the pairs with an edge into it).
 
-use crate::checkpoint::RefineCheckpoint;
+use crate::checkpoint::{relayed, PartitionCheckpoint, RefineCheckpoint, RefineSnapshot};
 use crate::graph::{shared_pool, Graph, Opts};
+use crate::partition::{
+    partition_safe, partition_to_relation, refine_partition_budgeted, refine_partition_resume,
+};
 use bpi_core::action::Action;
 use bpi_core::name::Name;
 use bpi_core::syntax::{Defs, P};
@@ -376,23 +380,30 @@ pub(crate) fn dependents(g: &Graph, weak: bool) -> Arc<DepSets> {
     g.dependents(weak)
 }
 
-/// Pair-count threshold below which the indexed engines fall back to the
-/// naive sweep: on small products, building the predecessor index and
-/// the queued bitmap costs more than it saves (the BENCH_2 `scaled-sums`
-/// family sits at ~289 pairs and regressed to 0.72× under the worklist
-/// before this cutover). The crossover is recorded in `DESIGN.md` §8.
-pub(crate) const NAIVE_MAX_PAIRS: usize = 1024;
+/// The pair-count cutover of the refinement dispatch: at or below it
+/// every product refines on the round engine ([`refine_budgeted`]),
+/// above it partition-safe products move to the partition refiner. On
+/// small products the partition refiner's signature tables cost more
+/// than the pair table they avoid: over 415 small partition-safe
+/// products × 6 variants (3 passes, release build, 2-CPU host), one
+/// pass took 26.5–32.9 ms on the partition refiner against 11.0–13.9 ms
+/// on the round engine and 10.4–11.9 ms on the naive sweep. The oracle
+/// engines [`refine_worklist`] and `refine_epsilon` use the same
+/// number as their naive cutover.
+pub(crate) const PAIRWISE_MAX_PAIRS: usize = 1024;
 
 /// Predecessor-indexed worklist refinement: computes the same greatest
 /// fixpoint as [`refine`], but killing a pair `(x, y)` re-enqueues only
 /// the pairs in `deps₁(x) × deps₂(y)` whose checks could have referenced
-/// it, instead of re-sweeping all `n₁·n₂` pairs.
+/// it, instead of re-sweeping all `n₁·n₂` pairs. No check runs on it:
+/// it stays as an oracle for the other engines and as a benchmark
+/// baseline.
 ///
-/// Below [`NAIVE_MAX_PAIRS`] pairs this dispatches to [`refine`]: the
-/// fixpoints are identical, and the naive sweep wins once index
-/// construction can't amortise.
+/// At or below `PAIRWISE_MAX_PAIRS` pairs this dispatches to
+/// [`refine`]: the fixpoints are identical, and the naive sweep wins
+/// once index construction can't amortise.
 pub fn refine_worklist(v: Variant, g1: &Graph, g2: &Graph) -> PairRelation {
-    if g1.len() * g2.len() <= NAIVE_MAX_PAIRS {
+    if g1.len() * g2.len() <= PAIRWISE_MAX_PAIRS {
         refine(v, g1, g2)
     } else {
         refine_worklist_indexed(v, g1, g2)
@@ -463,91 +474,93 @@ fn check_round(
         })
         .collect()
 }
-/// The engine [`refine_auto`] resolves to for one product.
+/// The engine [`refine_checkpointed`] picks for one product.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub(crate) enum Engine {
-    Naive,
-    Worklist,
+    /// The round-synchronous pairwise engine, [`refine_budgeted`].
+    Rounds,
+    /// The block/splitter partition refiner of [`crate::partition`].
     Partition,
 }
 
 /// The pure dispatch decision, factored out so the regression tests can
-/// pin it: the naive sweep at or below [`NAIVE_MAX_PAIRS`] pairs, the
-/// partition refiner above it whenever the product is partition-safe
-/// (uniform input arities — see [`crate::partition::partition_safe`]),
-/// the pairwise worklist otherwise.
-pub(crate) fn auto_engine(pairs: usize, partition_safe: bool) -> Engine {
-    if pairs <= NAIVE_MAX_PAIRS {
-        Engine::Naive
-    } else if partition_safe {
+/// pin it: the partition refiner above [`PAIRWISE_MAX_PAIRS`] pairs when
+/// the product is partition-safe (uniform input arities — see
+/// [`crate::partition::partition_safe`]), the round engine otherwise.
+pub(crate) fn select_engine(pairs: usize, partition_safe: bool) -> Engine {
+    if partition_safe && pairs > PAIRWISE_MAX_PAIRS {
         Engine::Partition
     } else {
-        Engine::Worklist
+        Engine::Rounds
     }
 }
 
-/// The `BPI_ENGINE` override, re-read on every dispatch (tests flip it
-/// mid-process): `partition`, `worklist` or `naive` force that engine;
-/// empty, unset or `auto` defer to [`auto_engine`]; anything else warns
-/// once and falls back to the automatic choice.
-pub(crate) fn engine_override() -> Option<Engine> {
-    let raw = std::env::var("BPI_ENGINE").ok()?;
-    match raw.trim().to_ascii_lowercase().as_str() {
-        "" | "auto" => None,
-        "naive" => Some(Engine::Naive),
-        "worklist" => Some(Engine::Worklist),
-        "partition" => Some(Engine::Partition),
-        other => {
-            bpi_obs::warn_once(
-                "equiv.engine",
-                &format!(
-                    "ignoring unrecognised BPI_ENGINE value {other:?} \
-                     (expected partition, worklist, naive or auto)"
-                ),
-            );
-            None
-        }
+/// Refinement as every check runs it: [`refine_auto`] with an unlimited
+/// budget and the inert config, the checkpointed [`Checker`] pipeline
+/// with its own. A fresh run takes the engine [`select_engine`] picks; a
+/// snapshot resumes on the engine that took it, a partition snapshot
+/// only while the product is still partition-safe (a spliced document
+/// starts over instead). Both engines compute the same relation, and
+/// any interruption returns [`Interrupted`] with a [`RefineSnapshot`].
+pub(crate) fn refine_checkpointed(
+    v: Variant,
+    g1: &Graph,
+    g2: &Graph,
+    budget: &Budget,
+    cfg: &CheckpointCfg<RefineSnapshot>,
+    from: Option<RefineSnapshot>,
+) -> Result<PairRelation, Interrupted<RefineSnapshot>> {
+    let partition = |ck: Option<PartitionCheckpoint>| {
+        let part = relayed(cfg, &RefineSnapshot::Partition, |inner| match ck {
+            Some(ck) => refine_partition_resume(v, g1, g2, budget, inner, ck),
+            None => refine_partition_budgeted(v, g1, g2, budget, inner),
+        })?;
+        // The partition counters were recorded by the engine on
+        // completion, the refine counters here: once, whatever the
+        // number of slices that led up to it.
+        let pr = partition_to_relation(&part);
+        record_refine("partition", &pr, g1.len(), g2.len());
+        Ok(pr)
+    };
+    let rounds = |ck: Option<RefineCheckpoint>| {
+        relayed(cfg, &RefineSnapshot::Pairwise, |inner| match ck {
+            Some(ck) => refine_resume(v, g1, g2, budget, inner, ck),
+            None => refine_budgeted(v, g1, g2, budget, inner),
+        })
+    };
+    let safe = partition_safe(g1, g2);
+    match from {
+        Some(RefineSnapshot::Pairwise(ck)) => rounds(Some(ck)),
+        Some(RefineSnapshot::Partition(ck)) if safe => partition(Some(ck)),
+        _ => match select_engine(g1.len() * g2.len(), safe) {
+            Engine::Partition => partition(None),
+            Engine::Rounds => rounds(None),
+        },
     }
 }
 
-/// The one engine decision for a product, shared by [`refine_auto`]
-/// and the checkpointed pipeline ([`Checker::run_with_checkpoint`]):
-/// `BPI_ENGINE` if set, else [`auto_engine`] on the pair count, with a
-/// partition choice demoted to the worklist when the product is not
-/// [`crate::partition::partition_safe`] (no partition agrees with the
-/// pairwise relation there, so not even the override may force one).
-pub(crate) fn select_engine(g1: &Graph, g2: &Graph) -> Engine {
-    let safe = crate::partition::partition_safe(g1, g2);
-    match engine_override().unwrap_or_else(|| auto_engine(g1.len() * g2.len(), safe)) {
-        Engine::Partition if !safe => Engine::Worklist,
-        e => e,
-    }
-}
-
-/// Engine dispatch used by the [`Checker`] and every relation-producing
-/// caller: the naive sweep at or below [`NAIVE_MAX_PAIRS`] pairs, the
-/// block/splitter partition refiner ([`crate::partition`]) above it, the
-/// pairwise worklist when the product mixes input arities on a channel
-/// (where no partition agrees with the pairwise relation — see
-/// `partition_safe`). All engines return the same relation, so the
-/// choice is invisible to callers; `BPI_ENGINE` overrides it (see
-/// [`select_engine`]).
+/// The refinement every relation-producing caller goes through: the
+/// round engine at or below `PAIRWISE_MAX_PAIRS` pairs and on
+/// products that mix input arities on a channel (where no partition
+/// agrees with the pairwise relation — see `partition_safe`), the
+/// block/splitter partition refiner ([`crate::partition`]) otherwise.
+/// It is `refine_checkpointed` with nothing to interrupt it, so the
+/// checkpointed pipeline refines every product on the same engine.
 ///
 /// The `threads` argument is ignored: every engine runs on the calling
 /// thread. It stays only because the benchmark harness still passes it;
 /// the next change to the benchmark removes it.
 pub fn refine_auto(v: Variant, g1: &Graph, g2: &Graph, threads: usize) -> PairRelation {
     let _ = threads;
-    match select_engine(g1, g2) {
-        Engine::Naive => refine(v, g1, g2),
-        Engine::Partition => {
-            let part = crate::partition::refine_partition(v, g1, g2);
-            let pr = crate::partition::partition_to_relation(&part);
-            record_refine("partition", &pr, g1.len(), g2.len());
-            pr
-        }
-        Engine::Worklist => refine_worklist(v, g1, g2),
-    }
+    refine_checkpointed(
+        v,
+        g1,
+        g2,
+        &Budget::unlimited(),
+        &CheckpointCfg::default(),
+        None,
+    )
+    .unwrap_or_else(|i| panic!("an unlimited, unfuelled refinement stopped: {}", i.error))
 }
 
 /// Per-round interruption poll of the budgeted refinement engine: chaos
@@ -1181,12 +1194,13 @@ mod tests {
     fn dispatch_picks_by_pair_count_and_safety() {
         // Pin the pure decision table first: the 49-state tau-ladder
         // (2401 pairs) lands on the partition refiner when safe and the
-        // pairwise worklist when not; the naive cutover is unchanged.
-        assert_eq!(auto_engine(NAIVE_MAX_PAIRS, true), Engine::Naive);
-        assert_eq!(auto_engine(NAIVE_MAX_PAIRS, false), Engine::Naive);
-        assert_eq!(auto_engine(2401, true), Engine::Partition);
-        assert_eq!(auto_engine(2401, false), Engine::Worklist);
-        assert_eq!(auto_engine(1_000_000, true), Engine::Partition);
+        // round engine when not; at or below the cutover every product
+        // refines on the round engine.
+        assert_eq!(select_engine(PAIRWISE_MAX_PAIRS, true), Engine::Rounds);
+        assert_eq!(select_engine(PAIRWISE_MAX_PAIRS, false), Engine::Rounds);
+        assert_eq!(select_engine(2401, true), Engine::Partition);
+        assert_eq!(select_engine(2401, false), Engine::Rounds);
+        assert_eq!(select_engine(1_000_000, true), Engine::Partition);
 
         // Then drive the tau-ladder through `refine_auto` and check the
         // relation matches the worklist oracle.
@@ -1199,8 +1213,8 @@ mod tests {
         let pool = shared_pool(&p, &p, 1);
         let g = Graph::build(&p, &d, &pool, Opts::default()).unwrap();
         assert!(
-            g.len() * g.len() > NAIVE_MAX_PAIRS,
-            "ladder must be above the naive cutover to exercise dispatch"
+            g.len() * g.len() > PAIRWISE_MAX_PAIRS,
+            "ladder must be above the cutover to exercise dispatch"
         );
         let want = refine_worklist_indexed(Variant::WeakBarbed, &g, &g);
         let got = refine_auto(Variant::WeakBarbed, &g, &g, 1);

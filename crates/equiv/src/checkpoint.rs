@@ -37,14 +37,8 @@
 //! returns a [`SupervisedVerdict::Inconclusive`] that still carries the
 //! final checkpoint as a partial verdict.
 
-use crate::bisim::{
-    record_refine, refine_budgeted, refine_resume, select_engine, Checker, Engine, PairRelation,
-    Variant,
-};
+use crate::bisim::{refine_checkpointed, Checker, PairRelation, Variant};
 use crate::graph::{shared_pool, Graph};
-use crate::partition::{
-    partition_safe, partition_to_relation, refine_partition_budgeted, refine_partition_resume,
-};
 use bpi_core::action::Action;
 use bpi_core::name::{Name, NameSet};
 use bpi_core::syntax::P;
@@ -346,7 +340,9 @@ impl std::str::FromStr for RefineCheckpoint {
                 b.parse::<usize>().map_err(|e| format!("bad dims: {e}"))?,
             )
         };
-        let mut rel = Vec::with_capacity(n1);
+        // `n1` is untrusted: it bounds nothing until the rows are
+        // counted, so it must not size an allocation.
+        let mut rel = Vec::new();
         for line in lines {
             if line.is_empty() {
                 continue;
@@ -522,11 +518,11 @@ impl std::str::FromStr for PartitionCheckpoint {
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum RefineSnapshot {
     /// The partition refiner, on partition-safe products above the
-    /// naive cutover.
+    /// pairwise cutover.
     Partition(PartitionCheckpoint),
-    /// The round-synchronous pairwise engine, on naive-sized and
-    /// mixed-arity products — and every refine section written before
-    /// the pipeline dispatched.
+    /// The round-synchronous pairwise engine, on small and mixed-arity
+    /// products — and every refine section written before the pipeline
+    /// dispatched.
     Pairwise(RefineCheckpoint),
 }
 
@@ -813,16 +809,16 @@ text_serde!(
 );
 
 /// Relays the latest snapshot of an inner (per-phase) slot into the
-/// pipeline-level slot on scope exit — **including unwinds**, so a
-/// supervisor's `catch_unwind` still finds the freshest periodic snapshot
-/// after a raw panic mid-phase.
-struct Relay<'a, C> {
+/// outer slot on scope exit — **including unwinds**, so a supervisor's
+/// `catch_unwind` still finds the freshest periodic snapshot after a raw
+/// panic mid-phase.
+struct Relay<'a, C, O> {
     inner: CheckpointSlot<C>,
-    outer: Option<CheckpointSlot<Checkpoint>>,
-    wrap: &'a dyn Fn(C) -> Checkpoint,
+    outer: Option<CheckpointSlot<O>>,
+    wrap: &'a dyn Fn(C) -> O,
 }
 
-impl<C> Drop for Relay<'_, C> {
+impl<C, O> Drop for Relay<'_, C, O> {
     fn drop(&mut self) {
         if let Some(outer) = &self.outer {
             if let Some(c) = self.inner.take() {
@@ -832,40 +828,23 @@ impl<C> Drop for Relay<'_, C> {
     }
 }
 
-/// Derives a per-phase [`CheckpointCfg`] from the pipeline-level one:
-/// same cadence, the *same shared* fuel cell (fuel counts pipeline units,
-/// not per-phase units), and a fresh slot when the outer cfg has one.
-fn inner_cfg<C>(outer: &CheckpointCfg<Checkpoint>, slot: &CheckpointSlot<C>) -> CheckpointCfg<C> {
-    CheckpointCfg {
-        every: outer.every,
-        fuel: outer.fuel.clone(),
-        slot: outer.slot.as_ref().map(|_| slot.clone()),
-    }
-}
-
-/// Publishes an interruption's checkpoint to the pipeline slot (the
-/// freshest snapshot always wins) and passes the error through.
-fn publish_err(
-    outer: &CheckpointCfg<Checkpoint>,
-    i: Interrupted<Checkpoint>,
-) -> Interrupted<Checkpoint> {
-    if let Some(slot) = &outer.slot {
-        slot.publish(i.checkpoint.clone());
-    }
-    i
-}
-
-/// Runs one pipeline phase under a per-phase [`CheckpointCfg`] whose
-/// snapshots `wrap` into umbrella checkpoints: periodic ones through a
-/// [`Relay`] into the pipeline slot, an interruption's as the returned
-/// error (published last, so it wins).
-fn relayed<C, T>(
-    cfg: &CheckpointCfg<Checkpoint>,
-    wrap: &dyn Fn(C) -> Checkpoint,
+/// Runs one phase under an inner [`CheckpointCfg`] derived from `cfg`
+/// (same cadence, the *same shared* fuel cell — fuel counts pipeline
+/// units, not per-phase units — and a fresh slot when `cfg` has one),
+/// whose snapshots `wrap` into the outer checkpoint type: periodic ones
+/// through a [`Relay`] into `cfg`'s slot, an interruption's as the
+/// returned error (published last, so it wins).
+pub(crate) fn relayed<C, O: Clone, T>(
+    cfg: &CheckpointCfg<O>,
+    wrap: &dyn Fn(C) -> O,
     run: impl FnOnce(&CheckpointCfg<C>) -> Result<T, Interrupted<C>>,
-) -> Result<T, Interrupted<Checkpoint>> {
+) -> Result<T, Interrupted<O>> {
     let slot: CheckpointSlot<C> = CheckpointSlot::new();
-    let inner = inner_cfg(cfg, &slot);
+    let inner = CheckpointCfg {
+        every: cfg.every,
+        fuel: cfg.fuel.clone(),
+        slot: cfg.slot.as_ref().map(|_| slot.clone()),
+    };
     let relay = Relay {
         inner: slot,
         outer: cfg.slot.clone(),
@@ -873,9 +852,13 @@ fn relayed<C, T>(
     };
     run(&inner).map_err(|i| {
         // Drain the relay before publishing so the freshest (error)
-        // snapshot wins in the pipeline slot.
+        // snapshot wins in the outer slot.
         drop(relay);
-        publish_err(cfg, i.map(wrap))
+        let i = i.map(wrap);
+        if let Some(slot) = &cfg.slot {
+            slot.publish(i.checkpoint.clone());
+        }
+        i
     })
 }
 
@@ -946,13 +929,12 @@ impl<'d> Checker<'d> {
     /// any interruption as [`Interrupted`] with an umbrella
     /// [`Checkpoint`] in place of the bare error.
     ///
-    /// Refinement runs on the engine [`crate::refine_auto`] would pick
-    /// for the product: the partition refiner
-    /// ([`refine_partition_budgeted`]) on partition-safe products above
-    /// the naive cutover, the round-synchronous pairwise engine
-    /// ([`refine_budgeted`]) on naive-sized and
-    /// mixed-arity ones. Either way the relation is the one
-    /// [`Checker::check`] computes. Differences from the plain path, by
+    /// Graphs build on the same loop as [`Graph::build`], and refinement
+    /// runs through the same dispatch as [`crate::refine_auto`]: the
+    /// partition refiner ([`crate::refine_partition_budgeted`]) on
+    /// partition-safe products above the pairwise cutover, the
+    /// round-synchronous pairwise engine ([`crate::refine_budgeted`]) on
+    /// small and mixed-arity ones. Differences from the plain path, by
     /// design:
     /// * the global graph memo is **bypassed** (a memo hit would skip the
     ///   states a checkpoint must contain),
@@ -1052,44 +1034,14 @@ impl<'d> Checker<'d> {
                 (g1, g2, left, right, Some(refine))
             }
         };
-        let partition = |ck: Option<PartitionCheckpoint>| {
-            let wrap = |pck| Checkpoint::Refine {
-                left: left_done.clone(),
-                right: right_done.clone(),
-                refine: RefineSnapshot::Partition(pck),
-            };
-            let part = relayed(cfg, &wrap, |inner| match ck {
-                Some(ck) => refine_partition_resume(v, &g1, &g2, &self.budget, inner, ck),
-                None => refine_partition_budgeted(v, &g1, &g2, &self.budget, inner),
-            })?;
-            // Like `refine_auto`: the partition counters were recorded
-            // by the engine on completion, the refine counters here —
-            // once, whatever the number of slices that led up to it.
-            let rel = partition_to_relation(&part);
-            record_refine("partition", &rel, g1.len(), g2.len());
-            Ok(rel)
+        let wrap = |refine| Checkpoint::Refine {
+            left: left_done.clone(),
+            right: right_done.clone(),
+            refine,
         };
-        let pairwise = |ck: Option<RefineCheckpoint>| {
-            let wrap = |rck| Checkpoint::Refine {
-                left: left_done.clone(),
-                right: right_done.clone(),
-                refine: RefineSnapshot::Pairwise(rck),
-            };
-            relayed(cfg, &wrap, |inner| match ck {
-                Some(ck) => refine_resume(v, &g1, &g2, &self.budget, inner, ck),
-                None => refine_budgeted(v, &g1, &g2, &self.budget, inner),
-            })
-        };
-        // The same engine decision as `refine_auto`, except that a
-        // snapshot resumes on the engine that took it (a partition
-        // snapshot only while the product is still partition-safe — a
-        // spliced document falls back to a fresh dispatch instead).
-        let rel = match refine_ck {
-            Some(RefineSnapshot::Pairwise(ck)) => pairwise(Some(ck))?,
-            Some(RefineSnapshot::Partition(ck)) if partition_safe(&g1, &g2) => partition(Some(ck))?,
-            _ if select_engine(&g1, &g2) == Engine::Partition => partition(None)?,
-            _ => pairwise(None)?,
-        };
+        let rel = relayed(cfg, &wrap, |inner| {
+            refine_checkpointed(v, &g1, &g2, &self.budget, inner, refine_ck)
+        })?;
         Ok((g1, g2, rel))
     }
 

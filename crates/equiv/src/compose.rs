@@ -90,8 +90,7 @@ static COMPOSE_STATES: LazyLock<&Counter> =
 /// through the compositional engine (with the monolithic build as the
 /// automatic fallback when the gate fails); empty, unset, `0`,
 /// `false`, `off` or `auto` keep the monolithic default; anything else
-/// warns once and stays monolithic, mirroring the `BPI_ENGINE`
-/// env-parse hardening.
+/// warns once and stays monolithic.
 pub fn compose_enabled() -> bool {
     parse_compose(std::env::var("BPI_COMPOSE").ok().as_deref())
 }

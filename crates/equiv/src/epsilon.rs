@@ -31,7 +31,7 @@
 //! `ε` (to a tolerance) at which the roots stay related — `0` exactly
 //! on bisimilar pairs, `1` when an observable separates them.
 
-use crate::bisim::{dependents, PairRelation, RelView, Variant, NAIVE_MAX_PAIRS};
+use crate::bisim::{dependents, PairRelation, RelView, Variant, PAIRWISE_MAX_PAIRS};
 use crate::graph::{shared_pool, Graph, Opts};
 use bpi_core::action::Action;
 use bpi_core::syntax::{Defs, P};
@@ -332,13 +332,13 @@ pub fn refine_epsilon(v: Variant, g1: &Graph, g2: &Graph, eps: f64) -> PairRelat
         // direction check, so the quantitative sweep would just redo
         // what the exact engines do pair by pair. Route through the
         // adaptive exact dispatch instead (partition refiner above the
-        // naive cutover): the fixpoint is bit-for-bit the same and the
+        // pairwise cutover): the fixpoint is bit-for-bit the same and the
         // seed-corpus oracle pins it.
         let pr = crate::bisim::refine_auto(v, g1, g2, 1);
         record_epsilon("exact", &pr, g1.len(), g2.len(), 0.0);
         return pr;
     }
-    if g1.len() * g2.len() <= NAIVE_MAX_PAIRS {
+    if g1.len() * g2.len() <= PAIRWISE_MAX_PAIRS {
         return refine_epsilon_naive(v, g1, g2, eps);
     }
     let (n1, n2) = (g1.len(), g2.len());

@@ -32,11 +32,11 @@ use bpi_semantics::lts::{tuples, Lts};
 use bpi_semantics::{cell_terms, input_transitions_consed, intern_state, step_transitions_consed};
 use parking_lot::RwLock;
 use std::borrow::Cow;
-use std::collections::{BTreeMap, BTreeSet, HashMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::{Arc, LazyLock, OnceLock};
 
-// Build metrics. Completed graphs are bit-identical between the plain
-// and checkpointed constructions (canonical BFS numbering), so
+// Build metrics. Completed graphs are bit-identical however often the
+// build was interrupted and resumed (canonical BFS numbering), so
 // everything counted off a finished graph — and the state-ceiling
 // failure, which is a property of the reachable set — is deterministic.
 // Deadline/cancellation failures and memo hit rates depend on wall
@@ -128,8 +128,7 @@ const K_STEP: u8 = K_TAU | K_OUT;
 /// Labels are interned into a sorted table so edge scans compare dense
 /// `u32` ids instead of hashing `Action` trees, and per-label kind /
 /// subject / arity lookups are array reads. The per-label predecessor
-/// CSR (`preds`) that the worklist refiner needs is built lazily — small
-/// graphs dispatched to the naive refiner never pay for it.
+/// CSR (`preds`) is built lazily, on first use.
 pub struct Csr {
     /// Sorted, deduplicated table of every label occurring on an edge.
     labels: Vec<Action>,
@@ -490,9 +489,8 @@ struct Expansion {
     discards: NameSet,
 }
 
-/// The one per-state expansion shared by the plain and checkpointed
-/// graph builders, so both produce the same edge lists and discard sets
-/// by construction.
+/// The per-state expansion of [`Graph::continue_build`]: successor
+/// derivation, bound-output renaming and interning for one state.
 struct Expander<'a> {
     lts: Lts<'a>,
     pool: &'a [Name],
@@ -571,7 +569,9 @@ impl Graph {
     /// [`Graph::build`] under an explicit [`Budget`]: the state ceiling
     /// is the smaller of `opts.max_states` and the budget's, and the
     /// budget's deadline/cancellation flag are polled once per expanded
-    /// state.
+    /// state. This is [`Graph::build_with_checkpoint`] under the inert
+    /// [`CheckpointCfg`], with the snapshot of an interruption dropped:
+    /// every build runs the same loop.
     pub fn build_with_budget(
         seed: &P,
         defs: &Defs,
@@ -579,78 +579,11 @@ impl Graph {
         opts: Opts,
         budget: &Budget,
     ) -> Result<Graph, EngineError> {
-        let _span = bpi_obs::span("equiv.graph", "build_sequential");
-        let r = Graph::build_sequential_inner(seed, defs, pool, opts, budget);
-        if let Err(e) = &r {
-            record_build_err(e);
-        }
-        r
-    }
-
-    fn build_sequential_inner(
-        seed: &P,
-        defs: &Defs,
-        pool: &[Name],
-        opts: Opts,
-        budget: &Budget,
-    ) -> Result<Graph, EngineError> {
-        let expander = Expander::new(defs, pool);
-        let cap = opts.max_states.min(budget.max_states());
-        // Consed keys: visited checks are an O(1) id probe, and the
-        // handle pins the class so the id stays stable for the build.
-        // (The cell's interior OnceLocks never feed Hash/Eq.)
-        #[allow(clippy::mutable_key_type)]
-        let mut index: HashMap<Consed, usize> = HashMap::new();
-        let mut states: Vec<Consed> = Vec::new();
-        let mut edges: Vec<Vec<(Action, usize)>> = Vec::new();
-        let mut discarding = Vec::new();
-
-        let s0 = intern_state(seed, None);
-        index.insert(s0.clone(), 0);
-        states.push(s0);
-        // FIFO expansion: state numbering is then canonical breadth-first
-        // discovery order.
-        let mut work = VecDeque::from([0usize]);
-
-        while let Some(i) = work.pop_front() {
-            budget.check(0)?;
-            let exp = expander.expand(&states[i]);
-            let mut out = Vec::with_capacity(exp.succs.len());
-            for (act, state) in exp.succs {
-                let j = match index.get(&state) {
-                    Some(&j) => j,
-                    None => {
-                        if states.len() >= cap {
-                            return Err(EngineError::StateBudgetExceeded { limit: cap });
-                        }
-                        let j = states.len();
-                        index.insert(state.clone(), j);
-                        states.push(state);
-                        work.push_back(j);
-                        j
-                    }
-                };
-                out.push((act, j));
-            }
-            while edges.len() < states.len() {
-                edges.push(Vec::new());
-                discarding.push(NameSet::new());
-            }
-            edges[i] = out;
-            discarding[i] = exp.discards;
-        }
-        // `states` may outrun `edges` when the last expansions created
-        // fresh states; pad (they are processed because `work` drains).
-        while edges.len() < states.len() {
-            edges.push(Vec::new());
-            discarding.push(NameSet::new());
-        }
-        Ok(Graph::from_parts(
-            cell_terms(&states),
-            edges,
-            discarding,
-            pool.to_vec(),
-        ))
+        let ck = GraphCheckpoint::seed(seed, pool);
+        Graph::continue_build(ck, defs, opts, budget, &CheckpointCfg::default()).map_err(|i| {
+            record_build_err(&i.error);
+            i.error
+        })
     }
 
     /// [`Graph::build_with_budget`] in checkpointed form: any
@@ -658,13 +591,12 @@ impl Graph {
     /// chaos pressure, or checkpoint-fuel exhaustion — returns
     /// [`Interrupted`] carrying a [`GraphCheckpoint`] from which
     /// [`Graph::resume_from`] continues without re-expanding a single
-    /// state. A completed build is **bit-identical** to
-    /// [`Graph::build`]'s (same FIFO expansion, same numbering), and the
-    /// state-ceiling error fires at exactly the same expansion: per
-    /// source state the successors are staged and committed only when
-    /// they fit under the ceiling, so the committed prefix never exceeds
-    /// the cap and the snapshot always re-expands from a whole-state
-    /// boundary.
+    /// state. It runs the same loop as [`Graph::build`], so a completed
+    /// build is bit-identical and the state-ceiling error fires at the
+    /// same expansion: per source state the successors are staged and
+    /// committed only when they fit under the ceiling, so the committed
+    /// prefix never exceeds the cap and the snapshot always re-expands
+    /// from a whole-state boundary.
     ///
     /// Unlike [`Graph::build_cached`] this never consults the global
     /// graph memo, and it records the deterministic build counters only
@@ -696,10 +628,11 @@ impl Graph {
         Graph::continue_build(ck, defs, opts, budget, cfg)
     }
 
-    /// The engine behind [`Graph::build_with_checkpoint`] /
-    /// [`Graph::resume_from`]: the same FIFO expansion as
-    /// [`Graph::build_sequential_inner`], restarted from a snapshot, with
-    /// commit-or-abort staging per source state.
+    /// The one graph builder, behind [`Graph::build`],
+    /// [`Graph::build_cached`], [`Graph::build_with_checkpoint`],
+    /// [`Graph::resume_from`] and the checkpointed [`crate::Checker`]
+    /// pipeline: FIFO expansion from a snapshot, with commit-or-abort
+    /// staging per source state.
     pub(crate) fn continue_build(
         ck: GraphCheckpoint,
         defs: &Defs,
@@ -724,90 +657,85 @@ impl Graph {
         let expander = Expander::new(defs, &pool);
         let cap = opts.max_states.min(budget.max_states());
         let mut states: Vec<Consed> = states.iter().map(bpi_core::cons).collect();
+        // Consed keys: visited checks are an O(1) id probe, and the
+        // handle pins the class so the id stays stable for the build.
+        // (The cell's interior OnceLocks never feed Hash/Eq.)
         #[allow(clippy::mutable_key_type)]
         let mut index: HashMap<Consed, usize> = states
             .iter()
             .enumerate()
             .map(|(i, s)| (s.clone(), i))
             .collect();
-        macro_rules! snapshot {
-            () => {
-                GraphCheckpoint {
-                    states: cell_terms(&states),
-                    edges: edges.clone(),
-                    discarding: discarding.clone(),
-                    pending: pending.clone(),
-                    pool: pool.clone(),
-                }
-            };
-        }
+        let mut fresh: Vec<Consed> = Vec::new();
         // Peek-then-commit: the front of `pending` stays queued until its
         // whole expansion is committed, so an interruption mid-state
         // re-expands it on resume (expansion is a pure function of the
         // state — the redo is invisible in the result).
+        let mut stop = None;
         while let Some(&i) = pending.front() {
             if let Err(e) = (|| {
                 bpi_semantics::chaos::pressure("equiv.graph.pressure")?;
                 budget.check(0)?;
                 cfg.burn_fuel()
             })() {
-                record_snapshot("interrupt");
-                return Err(Interrupted {
-                    error: e,
-                    checkpoint: snapshot!(),
-                });
+                stop = Some(e);
+                break;
             }
             let exp = expander.expand(&states[i]);
 
-            // Stage the expansion: fresh states are numbered as the
-            // sequential build would number them, but inserted only if
-            // the whole batch fits under the ceiling.
+            // Stage the expansion: fresh states get the next numbers in
+            // discovery order and go into `index` at once, but into
+            // `states` only if the whole batch fits under the ceiling.
+            // An interruption drops `index`, so staged entries never leak
+            // into a snapshot.
             let mut out: Vec<(Action, usize)> = Vec::with_capacity(exp.succs.len());
-            let mut fresh: Vec<Consed> = Vec::new();
-            #[allow(clippy::mutable_key_type)]
-            let mut fresh_index: HashMap<Consed, usize> = HashMap::new();
             for (act, state) in exp.succs {
-                let j = match index.get(&state).or_else(|| fresh_index.get(&state)) {
-                    Some(&j) => j,
-                    None => {
-                        let j = states.len() + fresh.len();
-                        fresh_index.insert(state.clone(), j);
-                        fresh.push(state);
-                        j
-                    }
-                };
+                let next = states.len() + fresh.len();
+                let j = *index.entry(state).or_insert_with_key(|state| {
+                    fresh.push(state.clone());
+                    next
+                });
                 out.push((act, j));
             }
             if states.len() + fresh.len() > cap {
-                // Same ceiling as the sequential build (committed states
-                // never exceed `cap`), surfaced with a resumable snapshot
-                // in which `i` is still pending.
-                record_snapshot("interrupt");
-                return Err(Interrupted {
-                    error: EngineError::StateBudgetExceeded { limit: cap },
-                    checkpoint: snapshot!(),
-                });
+                // Committed states never exceed `cap`; the snapshot keeps
+                // `i` pending.
+                stop = Some(EngineError::StateBudgetExceeded { limit: cap });
+                break;
             }
             // Commit.
             pending.pop_front();
-            for state in fresh {
-                let j = states.len();
-                index.insert(state.clone(), j);
-                pending.push_back(j);
+            for state in fresh.drain(..) {
+                pending.push_back(states.len());
                 states.push(state);
                 edges.push(Vec::new());
                 discarding.push(NameSet::new());
             }
             edges[i] = out;
             discarding[i] = exp.discards;
-            cfg.maybe_snapshot(states.len() - pending.len(), || snapshot!());
+            cfg.maybe_snapshot(states.len() - pending.len(), || GraphCheckpoint {
+                states: cell_terms(&states),
+                edges: edges.clone(),
+                discarding: discarding.clone(),
+                pending: pending.clone(),
+                pool: pool.clone(),
+            });
         }
-        Ok(Graph::from_parts(
-            cell_terms(&states),
-            edges,
-            discarding,
-            pool,
-        ))
+        let states = cell_terms(&states);
+        if let Some(error) = stop {
+            record_snapshot("interrupt");
+            return Err(Interrupted {
+                error,
+                checkpoint: GraphCheckpoint {
+                    states,
+                    edges,
+                    discarding,
+                    pending,
+                    pool,
+                },
+            });
+        }
+        Ok(Graph::from_parts(states, edges, discarding, pool))
     }
 
     /// Reassembles a graph from a **completed** build snapshot without
@@ -1174,12 +1102,13 @@ impl Graph {
         })
     }
 
-    /// Dependency sets shared by the worklist refiners: `deps[x]` is the
-    /// set of states whose transfer check can reference state `x`. For
-    /// the strong variants that is the direct predecessors plus the
-    /// diagonal (input-or-discard self-moves); for the weak variants the
-    /// match sets are τ-closures, so it is the inverse *transitive*
-    /// reachability over all edges. Computed once per graph and cached —
+    /// Dependency sets shared by the pairwise and partition refiners:
+    /// `deps[x]` is the set of states whose transfer check can reference
+    /// state `x`. For the strong variants that is the direct
+    /// predecessors plus the diagonal (input-or-discard self-moves); for
+    /// the weak variants the match sets are τ-closures, so it is the
+    /// inverse *transitive* reachability over all edges. Computed once
+    /// per graph and cached —
     /// the weak sets in particular are a whole-graph BFS per state, and
     /// recomputing them on every refine call was the BENCH_5
     /// `scaled-sums/weak-labelled` 0.91× regression.

@@ -47,8 +47,8 @@
 //! a(x,y).0`), so **no** partition agrees with it pointwise.
 //! [`partition_safe`] detects exactly this — some channel carrying
 //! input labels of two different arities across the two graphs, or
-//! differing pools — and the adaptive dispatch falls back to the
-//! pairwise worklist there. On arity-uniform products (every generator
+//! differing pools — and the dispatch falls back to the pairwise
+//! round engine there. On arity-uniform products (every generator
 //! corpus in `worklist_oracle.rs`, and any monadic system) the discard
 //! self-loop folds into the per-label signature and the partition is
 //! exact for all six variants.
@@ -145,7 +145,7 @@ pub fn partition_to_relation(part: &Partition) -> PairRelation {
 /// input labels of at most one arity across *both* graphs. With mixed
 /// arities the input-or-discard clause makes the pairwise relation
 /// non-transitive, so no partition can reproduce it (module docs); the
-/// dispatch falls back to the worklist instead.
+/// dispatch falls back to the pairwise round engine instead.
 pub fn partition_safe(g1: &Graph, g2: &Graph) -> bool {
     if g1.pool != g2.pool {
         return false;

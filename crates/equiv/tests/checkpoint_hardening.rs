@@ -133,6 +133,21 @@ fn corrupted_bytes_are_typed_errors_never_panics() {
         decode_all_typed(&doc.replace('\t', " "));
         decode_all_typed(&format!("{doc}\nunknown\trecord\t1"));
     }
+    // A `dims` record claiming 10^12 rows once sized the row vector
+    // before any row was read, aborting the process. The daemon decodes
+    // journaled park checkpoints on restart, so it must be a typed
+    // error, bare and as an umbrella's refine section.
+    let huge = "bpi-refine-checkpoint/v1\nrounds\t0\ndims\t1000000000000\t0\n";
+    let (_, equiv) = sample_docs()
+        .into_iter()
+        .find(|(n, _)| *n == "equiv")
+        .unwrap();
+    let (head, _) = equiv.split_once("#section refine\n").unwrap();
+    let umbrella = format!("{head}#section refine\n{huge}");
+    decode_all_typed(huge);
+    decode_all_typed(&umbrella);
+    assert!(RefineCheckpoint::from_text(huge).is_err());
+    assert!(Checkpoint::from_text(&umbrella).is_err());
 }
 
 #[test]

@@ -339,7 +339,7 @@ fn supervised_check_resumes_from_partition_snapshots_under_pressure() {
     );
 }
 
-/// On partition-safe products above the naive cutover the checkpointed
+/// On partition-safe products above the pairwise cutover the checkpointed
 /// pipeline refines on the partition engine (its deterministic counters
 /// move, and a refine-phase park carries a partition snapshot).
 /// Interrupting at every fuel boundary and resuming from the serialised

@@ -8,7 +8,7 @@
 //!   classes of the greatest bisimulation over the union graph;
 //! * [`refine_auto`] (the dispatch every caller goes through) must agree
 //!   with the oracle whether it lands on the partition refiner or falls
-//!   back to the worklist on partition-unsafe products (mixed input
+//!   back to the round engine on partition-unsafe products (mixed input
 //!   arities, where the pairwise relation is not even transitive);
 //! * interrupting the budgeted partition engine at **every** feasible
 //!   round boundary and resuming through the serialised

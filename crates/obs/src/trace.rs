@@ -150,8 +150,15 @@ static ENV_INIT: OnceLock<()> = OnceLock::new();
 
 fn init_from_env() {
     if matches!(std::env::var("BPI_TRACE").as_deref(), Ok("json")) {
-        install_sink(Arc::new(JsonLinesSink::stderr()));
+        // Not `install_sink`: it touches `ENV_INIT`, whose initializer
+        // this is, and a reentrant `get_or_init` blocks forever.
+        set_sink(Arc::new(JsonLinesSink::stderr()));
     }
+}
+
+fn set_sink(sink: Arc<dyn TraceSink>) {
+    *SINK.write() = Some(sink);
+    ACTIVE.store(true, Ordering::Release);
 }
 
 /// Whether a sink is installed (the fast-path check every instrumented
@@ -167,8 +174,7 @@ pub fn tracing_enabled() -> bool {
 /// sink is only ever auto-installed before the first explicit call.
 pub fn install_sink(sink: Arc<dyn TraceSink>) {
     ENV_INIT.get_or_init(|| ()); // suppress later BPI_TRACE re-install
-    *SINK.write() = Some(sink);
-    ACTIVE.store(true, Ordering::Release);
+    set_sink(sink);
 }
 
 /// Removes the global sink (flushing it first); tracing reverts to the
@@ -297,7 +303,7 @@ impl TraceSink for MemorySink {
 /// A one-line configuration warning: printed to stderr **once per
 /// distinct (target, message) per process** and mirrored as a trace
 /// event (`name = "warn"`) when a sink is installed, so misread
-/// environment knobs (`BPI_ENGINE`, `BPI_CHAOS`, …) surface exactly
+/// environment knobs (`BPI_COMPOSE`, `BPI_CHAOS`, …) surface exactly
 /// once instead of silently falling back — or flooding a hot loop.
 /// Returns whether this call was the first occurrence (tests use the
 /// return value to probe the dedup without scraping stderr).

@@ -9,17 +9,27 @@
 //! check fails, the sliced, supervised and served paths must also give
 //! the same explanation string.
 //!
-//! The corpora are the oracle suites': the promoted regression seeds
-//! (891, 1624, and the mixed-arity parser corners 45352 and 9724, whose
-//! products take the pairwise fallback), the partition oracle's
-//! structured pairs, and a few partition-safe products above the naive
-//! cutover, where the checkpointed paths refine on the partition engine.
+//! Every path builds on the same loop and refines through the same
+//! dispatch, so this pins one pipeline against its own checkpointing,
+//! slicing, codecs and daemon. The corpora are the oracle suites': the
+//! promoted regression seeds (891, 1624, and the polyadic parser corners
+//! 45352 and 9724, whose products are 2×3, 2×2 and 3×3 states,
+//! partition-safe, and refine on the round engine because they are
+//! small), the partition oracle's structured pairs, a few
+//! partition-safe products above the pairwise cutover, which refine on
+//! the partition engine, and two products that mix input arities on one
+//! channel across the two graphs. Those are not partition-safe and
+//! refine on the round engine at every size: one below the cutover
+//! (17×17 states) and one above it (68×68).
 
 use bpi::core::builder::*;
 use bpi::core::parse_process;
 use bpi::core::syntax::{Defs, P};
 use bpi::equiv::arbitrary::{shuffle, Gen, GenCfg};
-use bpi::equiv::{Checker, Checkpoint, SliceOutcome, SupervisedVerdict, Variant};
+use bpi::equiv::{
+    partition_safe, shared_pool, Checker, Checkpoint, Graph, Opts, SliceOutcome, SupervisedVerdict,
+    Variant,
+};
 use bpi::server::json::Json;
 use bpi::server::protocol::variant_to_str;
 use bpi::server::{server, Client, ServerCfg};
@@ -35,6 +45,20 @@ const ALL: [Variant; 6] = [
 ];
 
 const FUELS: [usize; 4] = [1, 3, 7, 2048];
+
+/// `Πᵢ(wᵢ<> + tau.vᵢ<>) | m(x).x<>` against the reversed product with
+/// `m(x,y).y<>`: `m` carries a 1-ary input on the left and a 2-ary one
+/// on the right, so no partition agrees with the pairwise relation.
+fn mixed_arity(n: usize) -> (P, P) {
+    let comps: Vec<String> = (0..n).map(|i| format!("(w{i}<> + tau.v{i}<>)")).collect();
+    let left = format!("{} | m(x).x<>", comps.join(" | "));
+    let right: Vec<&str> = comps.iter().rev().map(String::as_str).collect();
+    let right = format!("{} | m(x,y).y<>", right.join(" | "));
+    (
+        parse_process(&left).unwrap(),
+        parse_process(&right).unwrap(),
+    )
+}
 
 /// Every pair of the corpus, as the daemon would see it: printed and
 /// parsed back, so all four paths check the very same terms.
@@ -88,7 +112,7 @@ fn corpus() -> Vec<(P, P)> {
         (tau(tau(out_(a, []))), tau(out_(a, []))),
     ]);
 
-    // Partition-safe products above the naive cutover: an output chain
+    // Partition-safe products above the pairwise cutover: an output chain
     // and a τ-ladder one step apart, and a product of τ-cycles against
     // its 1-step cycles.
     let chain = |n: usize| (0..n).fold(nil(), |p, _| out(a, [b], p));
@@ -99,6 +123,9 @@ fn corpus() -> Vec<(P, P)> {
         parse_process(&format!("{} | ({} | {})", cycle(0), cycle(1), cycle(2))).unwrap()
     };
     pairs.push((cycles(2), cycles(1)));
+
+    // Partition-unsafe products, below and above the cutover.
+    pairs.extend([mixed_arity(1), mixed_arity(2)]);
 
     pairs
         .into_iter()
@@ -200,4 +227,21 @@ fn every_path_gives_the_same_verdict() {
         failing > 0 && failing < job,
         "the corpus must hold and fail somewhere"
     );
+}
+
+/// The mixed-arity pairs are what the corpus needs them to be: not
+/// partition-safe, one product at or below the 1024-pair cutover and
+/// one above it.
+#[test]
+fn mixed_arity_pairs_straddle_the_cutover() {
+    let defs = Defs::new();
+    let sizes = [1, 2].map(|n| {
+        let (p, q) = mixed_arity(n);
+        let pool = shared_pool(&p, &q, 1);
+        let g1 = Graph::build(&p, &defs, &pool, Opts::default()).unwrap();
+        let g2 = Graph::build(&q, &defs, &pool, Opts::default()).unwrap();
+        assert!(!partition_safe(&g1, &g2), "n={n} must mix arities");
+        (g1.len(), g2.len())
+    });
+    assert_eq!(sizes, [(17, 17), (68, 68)]);
 }
